@@ -1,38 +1,23 @@
 #!/usr/bin/env python
-"""Large-graph tier benchmark: memory-bounded streamed evaluation.
+"""Large-graph tier benchmark: memory-bounded partitioned evaluation.
 
-Two measurements, appended to the ``BENCH_scale.json`` trajectory at the
-repo root (override with ``--out``):
+One measurement, appended to the ``BENCH_scale.json`` trajectory at the
+repo root (override with ``--out``): a seeded RMAT power-law graph
+(``--vertices``, default one million) evaluated block-partitioned
+(``{"budget_bytes": --partition-budget}``) under an enforced
+``TileStats`` byte budget (``--budget``, exported as
+``REPRO_TILESTATS_BUDGET`` for the run).  Records generation and
+evaluation wall-clock, block count, peak process RSS, and the registry's
+memory counters.
 
-1. ``streamed_vs_dense`` — the chunk-streamed SpMM/GEMM micro-simulators
-   against the dense-grid engines on a mid-scale RMAT graph small enough
-   to run both paths.  Bit-identity of the ``CycleReport``\\ s is asserted
-   unconditionally (the exhaustive fuzz lives in
-   ``tests/test_engine_streamed.py``; this script measures and sanity-
-   checks), and the streamed side's ``TileStats`` counters must show zero
-   dense grid builds.
-
-2. ``large_graph`` — the tier the streaming work opens: a seeded RMAT
-   power-law graph (``--vertices``, default one million) evaluated
-   block-partitioned (``{"budget_bytes": --partition-budget}``) under an
-   enforced ``TileStats`` byte budget (``--budget``, exported as
-   ``REPRO_TILESTATS_BUDGET`` for the run).  Records generation and
-   evaluation wall-clock, block count, peak process RSS, and the
-   registry's memory counters.
-
-``--check`` exits non-zero unless the budget held: the large run's
-aggregate ``peak_nbytes <= --budget``, zero dense ``step_grids`` builds
-under the enforced budget (the dense fallback CI guards against), and
-the chunk-streamed engine actually engaged in the comparison section.
-``--force-stream`` additionally exports ``REPRO_STREAM_ENGINE=1`` so
-every micro-simulation in the run takes the chunk-streamed path.
-``--vertices 50000`` keeps the CI smoke cheap.
+``--check`` exits non-zero unless the budget held: the run's aggregate
+``peak_nbytes <= --budget``.  ``--vertices 50000`` keeps the CI smoke
+cheap.
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_scale.py --check
-    PYTHONPATH=src python benchmarks/bench_scale.py \\
-        --vertices 50000 --force-stream --check
+    PYTHONPATH=src python benchmarks/bench_scale.py --vertices 50000 --check
 """
 
 from __future__ import annotations
@@ -51,17 +36,8 @@ import numpy as np
 from repro.arch.config import AcceleratorConfig
 from repro.core.omega import run_gnn_dataflow
 from repro.core.partitioned import resolve_partition
-from repro.core.taxonomy import IntraDataflow, Phase, parse_dataflow
+from repro.core.taxonomy import parse_dataflow
 from repro.core.workload import GNNWorkload
-from repro.engine.cycle_model import (
-    _cycle_accurate_gemm_streamed,
-    _cycle_accurate_gemm_vectorized,
-    _cycle_accurate_spmm_streamed,
-    _cycle_accurate_spmm_vectorized,
-)
-from repro.engine.gemm import GemmSpec, GemmTiling
-from repro.engine.spmm import SpmmSpec, SpmmTiling
-from repro.engine.tilestats import TileStats
 from repro.graphs.generators import web_scale
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
@@ -73,94 +49,10 @@ DATAFLOW = "Seq_AC(VsNtFt, VsGtFt)"
 IN_FEATURES = 32
 OUT_FEATURES = 16
 
-# Mid-scale point for the streamed-vs-dense comparison: big enough that
-# the timings mean something, small enough that the dense grids fit.
-MID_VERTICES = 50_000
-MID_EDGES = 500_000
-MID_FEAT = 32
-MID_SPMM_TILES = SpmmTiling(16, MID_FEAT, 8)
-MID_GEMM_SHAPE = (MID_VERTICES, MID_FEAT, 16)
-MID_GEMM_TILES = GemmTiling(64, 8, 4)
-MID_CHUNK_ROWS = 256
-
 
 def _peak_rss_mib() -> float:
     """Peak resident set size of this process, in MiB (Linux: KiB units)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _report_tuple(rep) -> tuple:
-    return (rep.cycles, rep.steps, rep.gb_reads, rep.gb_writes)
-
-
-def bench_streamed_vs_dense(seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    graph = web_scale(rng, MID_VERTICES, MID_EDGES, name="web-mid")
-    hw = AcceleratorConfig(num_pes=512, dist_bw=64, red_bw=64)
-
-    spec = SpmmSpec(graph=graph, feat=MID_FEAT)
-    intra = IntraDataflow.parse("VsNtFt", Phase.AGGREGATION)
-    dense_stats = TileStats(graph)
-    t0 = time.perf_counter()
-    dense = _cycle_accurate_spmm_vectorized(
-        spec, intra, MID_SPMM_TILES, hw, dense_stats
-    )
-    dense_s = time.perf_counter() - t0
-    stream_stats = TileStats(graph)
-    t0 = time.perf_counter()
-    streamed = _cycle_accurate_spmm_streamed(
-        spec, intra, MID_SPMM_TILES, hw, stream_stats
-    )
-    streamed_s = time.perf_counter() - t0
-    assert _report_tuple(dense) == _report_tuple(streamed), (
-        "streamed SpMM diverged from the dense engine"
-    )
-    assert stream_stats.dense_grid_builds == 0, (
-        "streamed SpMM built a dense step grid"
-    )
-    assert stream_stats.streamed_chunk_passes > 0, (
-        "streamed SpMM never pulled a step-grid chunk"
-    )
-    dense_grid_mib = dense_stats.grid_nbytes(
-        MID_SPMM_TILES.t_v, MID_SPMM_TILES.t_n
-    ) / (1 << 20)
-
-    rows, inner, cols = MID_GEMM_SHAPE
-    gspec = GemmSpec(rows=rows, inner=inner, cols=cols)
-    gintra = IntraDataflow.parse("VsFsGt", Phase.COMBINATION)
-    t0 = time.perf_counter()
-    gdense = _cycle_accurate_gemm_vectorized(gspec, gintra, MID_GEMM_TILES, hw)
-    gdense_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    gstreamed = _cycle_accurate_gemm_streamed(
-        gspec, gintra, MID_GEMM_TILES, hw, chunk_steps=4096
-    )
-    gstreamed_s = time.perf_counter() - t0
-    assert _report_tuple(gdense) == _report_tuple(gstreamed), (
-        "streamed GEMM diverged from the dense engine"
-    )
-
-    return {
-        "graph": {
-            "num_vertices": graph.num_vertices,
-            "num_edges": graph.num_edges,
-            "max_degree": int(np.diff(graph.vertex_ptr).max()),
-        },
-        "spmm": {
-            "dense_s": round(dense_s, 4),
-            "streamed_s": round(streamed_s, 4),
-            "slowdown": round(streamed_s / dense_s, 2) if dense_s else 0.0,
-            "dense_grid_mib": round(dense_grid_mib, 1),
-            "streamed_chunk_passes": stream_stats.streamed_chunk_passes,
-            "bit_identical": True,  # asserted above
-        },
-        "gemm": {
-            "dense_s": round(gdense_s, 4),
-            "streamed_s": round(gstreamed_s, 4),
-            "slowdown": round(gstreamed_s / gdense_s, 2) if gdense_s else 0.0,
-            "bit_identical": True,  # asserted above
-        },
-    }
 
 
 def bench_large_graph(
@@ -230,12 +122,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="per-block streamed working-set budget for the "
                          "partitioner (default: 64 MiB)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--force-stream", action="store_true",
-                    help="export REPRO_STREAM_ENGINE=1; with --check, any "
-                         "dense step-grid build fails the run")
     ap.add_argument("--check", action="store_true",
-                    help="fail unless peak stats memory <= --budget and "
-                         "the streamed path engaged")
+                    help="fail unless peak stats memory <= --budget")
     ap.add_argument("--label", default=None,
                     help="entry label (default: large-graph-tier)")
     args = ap.parse_args(argv)
@@ -243,35 +131,25 @@ def main(argv: list[str] | None = None) -> int:
         EDGES_PER_VERTEX * args.vertices
     )
 
-    streamed = bench_streamed_vs_dense(args.seed)
-
-    # The env knobs are how real runs configure the tier, so the bench
+    # The env knob is how real runs configure the tier, so the bench
     # exercises exactly that path (read at TileStats construction time).
-    saved = {
-        k: os.environ.get(k)
-        for k in ("REPRO_TILESTATS_BUDGET", "REPRO_STREAM_ENGINE")
-    }
+    saved = os.environ.get("REPRO_TILESTATS_BUDGET")
     os.environ["REPRO_TILESTATS_BUDGET"] = str(args.budget)
-    if args.force_stream:
-        os.environ["REPRO_STREAM_ENGINE"] = "1"
     try:
         large = bench_large_graph(
             args.vertices, edges, args.budget, args.partition_budget,
             args.seed,
         )
     finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+        if saved is None:
+            os.environ.pop("REPRO_TILESTATS_BUDGET", None)
+        else:
+            os.environ["REPRO_TILESTATS_BUDGET"] = saved
 
     entry = {
         "label": args.label or "large-graph-tier",
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "host_cpus": os.cpu_count(),
-        "force_stream": args.force_stream,
-        "streamed_vs_dense": streamed,
         "large_graph": large,
     }
 
@@ -284,14 +162,6 @@ def main(argv: list[str] | None = None) -> int:
         encoding="utf-8",
     )
 
-    sv = streamed["spmm"]
-    gv = streamed["gemm"]
-    print(f"streamed vs dense (web-mid, {streamed['graph']['num_vertices']} "
-          f"vertices / {streamed['graph']['num_edges']} edges): SpMM "
-          f"{sv['dense_s']:.3f}s -> {sv['streamed_s']:.3f}s "
-          f"({sv['slowdown']:.1f}x, dense grid {sv['dense_grid_mib']:.1f} "
-          f"MiB, bit-identical), GEMM {gv['dense_s']:.3f}s -> "
-          f"{gv['streamed_s']:.3f}s ({gv['slowdown']:.1f}x, bit-identical)")
     mem = large["tilestats"]
     print(f"large graph ({large['graph']['num_vertices']} vertices / "
           f"{large['graph']['num_edges']} edges, max degree "
@@ -300,27 +170,14 @@ def main(argv: list[str] | None = None) -> int:
           f"across {large['num_blocks']} blocks")
     print(f"stats memory: peak {mem['peak_nbytes'] / (1 << 20):.1f} MiB of "
           f"{args.budget / (1 << 20):.0f} MiB budget, "
-          f"{mem['evictions']} evictions, {mem['dense_grid_builds']} dense "
-          f"grid builds, {mem['streamed_chunk_passes']} streamed chunk "
-          f"passes; process peak RSS {large['peak_rss_mib']:.0f} MiB")
+          f"{mem['evictions']} evictions; process peak RSS "
+          f"{large['peak_rss_mib']:.0f} MiB")
     print(f"trajectory: {args.out} ({len(trajectory)} entries)")
 
-    if args.check:
-        ok = True
-        if mem["peak_nbytes"] > args.budget:
-            print(f"FAIL: peak stats memory {mem['peak_nbytes']} B exceeds "
-                  f"the {args.budget} B budget", file=sys.stderr)
-            ok = False
-        if sv["streamed_chunk_passes"] == 0:
-            print("FAIL: the chunk-streamed engine never engaged",
-                  file=sys.stderr)
-            ok = False
-        if mem["dense_grid_builds"] != 0:
-            print(f"FAIL: {mem['dense_grid_builds']} dense step-grid builds "
-                  "under the enforced byte budget (dense fallback triggered)",
-                  file=sys.stderr)
-            ok = False
-        return 0 if ok else 1
+    if args.check and mem["peak_nbytes"] > args.budget:
+        print(f"FAIL: peak stats memory {mem['peak_nbytes']} B exceeds "
+              f"the {args.budget} B budget", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -69,7 +69,6 @@ class ExplorationSession:
         store: Any | None = None,
         warm: bool = True,
         phase_cache: bool = True,
-        tilestats_budget: int | None = None,
     ) -> None:
         if chunksize < 1:
             raise ValueError("chunksize must be >= 1")
@@ -87,7 +86,7 @@ class ExplorationSession:
         self._warm: dict[str, dict] = {}  # loaded warm records
         self._warm_fps: set[str] = set()  # every warm-servable fingerprint
         self._warm_errors: dict[str, str] = {}
-        self._tilestats = TileStatsRegistry(byte_budget=tilestats_budget)
+        self._tilestats = TileStatsRegistry()
         self._phase_caches: dict[str, PhaseEngineCache] = {}
         self._pool: TaskKeyedPool | None = None
         self._closed = False
@@ -210,8 +209,6 @@ class ExplorationSession:
                 # ``tilestats_memory()`` instead.
                 "tilestats_peak_nbytes": mem["peak_nbytes"],
                 "tilestats_evictions": mem["evictions"],
-                "dense_grid_builds": mem["dense_grid_builds"],
-                "streamed_chunk_passes": mem["streamed_chunk_passes"],
             }
 
     def tilestats_memory(self) -> dict:

@@ -48,7 +48,6 @@ from .pipeline import (
     PipelineReport,
     bounded_pipeline,
     bounded_pipeline_batch,
-    bounded_pipeline_reference,
 )
 from .taxonomy import (
     Annot,
@@ -107,7 +106,6 @@ __all__ = [
     "PipelineReport",
     "bounded_pipeline",
     "bounded_pipeline_batch",
-    "bounded_pipeline_reference",
     "Annot",
     "Dataflow",
     "Dim",

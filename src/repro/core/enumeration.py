@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ..engine.cycle_model import use_reference_engine
 from .legality import (
     infer_granularity,
     intermediate_axes,
@@ -291,22 +290,6 @@ def candidate_grid(*, include_sp_optimized: bool = False) -> tuple[GridBlock, ..
     return tuple(blocks)
 
 
-def _enumerate_design_space_reference(
-    *, include_sp_optimized: bool = False
-) -> Iterator[Dataflow]:
-    """Legacy per-object enumeration (kept as the reference path)."""
-    for order in PhaseOrder:
-        yield from enumerate_pairs(InterPhase.SEQ, order)
-    for order in PhaseOrder:
-        yield from enumerate_pairs(InterPhase.SP, order, sp_variant=SPVariant.GENERIC)
-        if include_sp_optimized:
-            yield from enumerate_pairs(
-                InterPhase.SP, order, sp_variant=SPVariant.OPTIMIZED
-            )
-    for order in PhaseOrder:
-        yield from enumerate_pairs(InterPhase.PP, order)
-
-
 def enumerate_design_space(
     *, include_sp_optimized: bool = False
 ) -> Iterator[Dataflow]:
@@ -316,15 +299,10 @@ def enumerate_design_space(
     SP-Generic element-granularity dataflows, so they are excluded from the
     headline count by default.
 
-    Candidates come from the cached grid blocks (identical sequence to the
-    legacy walk, asserted in the tests); ``REPRO_REFERENCE_ENGINE=1``
-    forces the legacy per-object path.
+    Candidates come from the cached grid blocks, in the same sequence as
+    a per-pair :func:`enumerate_pairs` walk over the blocks (asserted in
+    the tests against that walk, kept in ``tests/oracles/``).
     """
-    if use_reference_engine():
-        yield from _enumerate_design_space_reference(
-            include_sp_optimized=include_sp_optimized
-        )
-        return
     for block in candidate_grid(include_sp_optimized=include_sp_optimized):
         yield from block.dataflows()
 

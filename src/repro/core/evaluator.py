@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from ..arch.config import AcceleratorConfig
-from ..engine.cycle_model import use_reference_engine
 from ..engine.gemm import GemmTiling
 from ..engine.phasecache import PhaseEngineCache
 from ..engine.spmm import SpmmTiling
@@ -104,17 +103,6 @@ def _spec_signature(spec: TileHint | ExplicitTiles | None) -> dict | None:
     }
 
 
-def _dataflow_signature(df: Dataflow) -> dict:
-    # Deliberately excludes ``name``: Table V labels are presentation-level
-    # and must not defeat memoization of identical mappings.
-    return {
-        "notation": str(df),
-        "sp_variant": df.sp_variant.value if df.sp_variant else None,
-        "granularity": df.granularity.value if df.granularity else None,
-        "pe_split": df.pe_split,
-    }
-
-
 def _hw_signature(hw: AcceleratorConfig) -> dict:
     sig: dict[str, Any] = {}
     for f in fields(hw):
@@ -168,29 +156,19 @@ def context_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def _fingerprint(
-    ctx: dict, df: Dataflow, spec: TileHint | ExplicitTiles | None
-) -> str:
-    payload = {
-        **ctx,
-        "dataflow": _dataflow_signature(df),
-        "hint": _spec_signature(spec),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:32]
-
-
 # -- incremental fingerprint assembly ----------------------------------
 #
-# A full design-space stream computes 6,656 fingerprints against ONE
+# A fingerprint is the sha256 of the canonical JSON blob
+# `json.dumps({**ctx, "dataflow": ..., "hint": ...}, sort_keys=True)`.
+# A full design-space stream computes 6,656 of them against ONE
 # (workload, hardware) context: serializing that context per candidate is
-# pure waste.  `FingerprintFactory` splits `_fingerprint`'s canonical JSON
-# blob into reusable fragments — the context tail serialized once per
-# evaluator, spec fragments cached per distinct hint, dataflow fragments
-# assembled from cached per-intra notation strings — and concatenates them
-# in the exact byte order `json.dumps(payload, sort_keys=True)` would
-# produce (`"dataflow" < "hint" < "hw" < "workload"`), so the digests are
-# byte-identical to the legacy path (fuzz-asserted in the tests).
+# pure waste.  `FingerprintFactory` splits the blob into reusable
+# fragments — the context tail serialized once per evaluator, spec
+# fragments cached per distinct hint, dataflow fragments assembled from
+# cached per-intra notation strings — and concatenates them in the exact
+# byte order `json.dumps(payload, sort_keys=True)` would produce
+# (`"dataflow" < "hint" < "hw" < "workload"`), so the digests are
+# byte-identical to hashing the whole blob (fuzz-asserted in the tests).
 
 @functools.lru_cache(maxsize=None)
 def _intra_notation(intra) -> str:
@@ -205,6 +183,8 @@ def _json_atom(value) -> str:
 
 
 def _dataflow_fragment(df: Dataflow) -> str:
+    # Deliberately excludes ``name``: Table V labels are presentation-level
+    # and must not defeat memoization of identical mappings.
     # Keys in sorted order: granularity < notation < pe_split < sp_variant.
     # The notation alphabet (dim letters, s/t, "_()," and space) never
     # needs JSON escaping, so the raw f-string placement is canonical.
@@ -251,8 +231,8 @@ def _spec_cache_key(spec: TileHint | ExplicitTiles | None):
 
 
 class FingerprintFactory:
-    """Per-context incremental fingerprints, byte-identical to
-    :func:`_fingerprint`."""
+    """Per-context incremental fingerprints, byte-identical to hashing the
+    whole canonical blob."""
 
     __slots__ = ("_tail", "_spec_fragments")
 
@@ -298,7 +278,7 @@ def candidate_fingerprint(
     to use for memoization, store-level dedup, and campaign resume.
     ``hint`` may be a :class:`TileHint` or an :class:`ExplicitTiles`.
     """
-    return _fingerprint(_context_signature(wl, hw), df, hint)
+    return FingerprintFactory(_context_signature(wl, hw)).fingerprint(df, hint)
 
 
 # ----------------------------------------------------------------------
@@ -804,8 +784,6 @@ class DataflowEvaluator:
     def fingerprint(
         self, df: Dataflow, hint: TileHint | ExplicitTiles | None = None
     ) -> str:
-        if use_reference_engine():
-            return _fingerprint(self._ctx_signature, df, hint)
         return self._fp_factory.fingerprint(df, hint)
 
     def to_record(self, outcome: EvalOutcome, **extra: Any) -> dict:

@@ -225,9 +225,8 @@ def compose_batch(items: "Sequence[ComposeItem]") -> list[RunResult]:
     - **one recurrence for the whole batch**: every PP candidate's series
       goes into a single :func:`bounded_pipeline_batch` call — the
       depth-bounded recurrence advances all candidates per granule step
-      instead of looping Python per candidate.  Under
-      ``REPRO_REFERENCE_ENGINE=1`` the scalar per-candidate recurrence is
-      used instead; both are bit-identical (fuzz-proved).
+      instead of looping Python per candidate; bit-identical to
+      :func:`bounded_pipeline` per candidate (fuzz-proved).
 
     Error semantics match the scalar loop: the first item (in item order)
     whose composition is illegal raises, composing no observable state
@@ -245,8 +244,6 @@ def _compose_batch(
     """Shared core of :func:`compose_batch`: per-item results + captured
     per-item failures (``(item_index, exception)``, in item order) so the
     evaluation service can report illegal candidates individually."""
-    from ..engine.cycle_model import use_reference_engine
-
     n = len(items)
     grans: list[Granularity | None] = [None] * n
     errors: list[tuple[int, Exception]] = []
@@ -283,7 +280,6 @@ def _compose_batch(
             errors.append((i, exc))
             failed.add(i)
 
-    reference = use_reference_engine()
     reports: list[PipelineReport | None] = [None] * len(pp_specs)
     sub: list[int] = []
     sub_elems = 0
@@ -299,15 +295,9 @@ def _compose_batch(
                 prod, cons = granule_series(df, pp_specs[s], agg_res, cmb_res)
                 prod_series.append(prod)
                 cons_series.append(cons)
-            if reference:
-                batch_reports = [
-                    bounded_pipeline(p, c, depth=2)
-                    for p, c in zip(prod_series, cons_series)
-                ]
-            else:
-                batch_reports = bounded_pipeline_batch(
-                    prod_series, cons_series, depth=2
-                )
+            batch_reports = bounded_pipeline_batch(
+                prod_series, cons_series, depth=2
+            )
             for s, report in zip(sub, batch_reports):
                 reports[s] = report
             sub = []

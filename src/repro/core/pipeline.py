@@ -13,24 +13,18 @@ fill, and the recurrence below models the transient stalls exactly:
 Load imbalance between partitions (Fig. 14) shows up as producer or
 consumer idle time, which :class:`PipelineReport` quantifies.
 
-Two interchangeable evaluation strategies are provided:
-
-- the **batched kernel** (default): :func:`bounded_pipeline_batch` runs
-  the recurrence once per granule *step* across a whole batch of
-  candidates simultaneously — B lanes advance through step ``i`` with a
-  handful of numpy vector operations, instead of B separate Python loops.
-  Ragged batches are sorted longest-first so the lanes still running at
-  any step form a prefix: each step updates prefix views only, finished
-  lanes freeze at their final values, and zero padding can never perturb
-  a lane's arithmetic (every ``max``/``+`` a lane sees is the exact
-  operation the scalar loop would have performed, in the same order —
-  equality is bit-wise, not approximate, and fuzz-proved against the
-  scalar loop and the discrete-event oracle in
-  ``tests/test_pipeline_batch.py``);
-- the **scalar reference**: the original per-granule Python loop, kept as
-  :func:`bounded_pipeline_reference` and selected by setting
-  ``REPRO_REFERENCE_ENGINE=1`` in the environment (the same escape hatch
-  that restores the interpreted micro-simulator engines).
+:func:`bounded_pipeline` runs the recurrence for one candidate, one
+Python iteration per granule.  :func:`bounded_pipeline_batch` runs it once
+per granule *step* across a whole batch of candidates simultaneously — B
+lanes advance through step ``i`` with a handful of numpy vector
+operations, instead of B separate Python loops.  Ragged batches are sorted
+longest-first so the lanes still running at any step form a prefix: each
+step updates prefix views only, finished lanes freeze at their final
+values, and zero padding can never perturb a lane's arithmetic (every
+``max``/``+`` a lane sees is the exact operation the scalar loop would
+have performed, in the same order — equality is bit-wise, not
+approximate, and fuzz-proved against the scalar loop and the
+discrete-event oracle in ``tests/test_pipeline_batch.py``).
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ __all__ = [
     "PipelineReport",
     "bounded_pipeline",
     "bounded_pipeline_batch",
-    "bounded_pipeline_reference",
 ]
 
 # Below this many still-running lanes the batched step's ufunc overhead
@@ -89,14 +82,15 @@ def _check_series(prod, cons) -> tuple[np.ndarray, np.ndarray]:
     return p, c
 
 
-def bounded_pipeline_reference(
+def bounded_pipeline(
     prod: np.ndarray, cons: np.ndarray, *, depth: int = 2
 ) -> PipelineReport:
-    """The original scalar recurrence (one Python iteration per granule).
+    """Run the bounded-buffer pipeline recurrence for one candidate.
 
-    Kept verbatim as the reference implementation the batched kernel is
-    proved against; ``REPRO_REFERENCE_ENGINE=1`` routes
-    :func:`bounded_pipeline` here.
+    ``prod[i]``/``cons[i]`` are the cycles to produce/consume granule ``i``.
+    ``depth`` is the number of ping-pong banks (2 in the paper).  Batches
+    of candidates go through :func:`bounded_pipeline_batch` instead, which
+    is bit-identical per lane.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -149,7 +143,7 @@ def bounded_pipeline_batch(
     ended are frozen by a validity mask, so each lane performs exactly the
     ``max``/``+``/stall-accumulate sequence the scalar loop would — the
     returned reports are bit-identical to
-    ``[bounded_pipeline_reference(p, c) for p, c in zip(...)]``.
+    ``[bounded_pipeline(p, c) for p, c in zip(...)]``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -284,20 +278,3 @@ def bounded_pipeline_batch(
             )
         )
     return reports
-
-
-def bounded_pipeline(
-    prod: np.ndarray, cons: np.ndarray, *, depth: int = 2
-) -> PipelineReport:
-    """Run the bounded-buffer pipeline recurrence for one candidate.
-
-    ``prod[i]``/``cons[i]`` are the cycles to produce/consume granule ``i``.
-    ``depth`` is the number of ping-pong banks (2 in the paper).
-
-    Because the scalar loop and :func:`bounded_pipeline_batch` are
-    bit-identical, the single-candidate entry point always uses the scalar
-    loop (cheaper for one lane); batch-of-candidates callers —
-    :func:`repro.core.interphase.compose_batch` — use the batched kernel,
-    falling back to this scalar path under ``REPRO_REFERENCE_ENGINE=1``.
-    """
-    return bounded_pipeline_reference(prod, cons, depth=depth)

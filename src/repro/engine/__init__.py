@@ -4,7 +4,7 @@ from .gemm import GemmResult, GemmSpec, GemmTiling, simulate_gemm
 from .spmm import SpmmResult, SpmmSpec, SpmmTiling, simulate_spmm
 from .phasecache import PhaseEngineCache
 from .stats import OPERANDS, PhaseStats, merge_counts
-from .tilestats import StepGrids, TileStats, TileStatsRegistry
+from .tilestats import TileStats, TileStatsRegistry
 
 __all__ = [
     "PhaseEngineCache",
@@ -19,7 +19,6 @@ __all__ = [
     "OPERANDS",
     "PhaseStats",
     "merge_counts",
-    "StepGrids",
     "TileStats",
     "TileStatsRegistry",
 ]

@@ -18,24 +18,20 @@ Because it never uses the engines' formulas, agreement between the two is a
 meaningful check; the test suite asserts traffic counts match exactly and
 cycle counts match up to pipeline fill/rounding.
 
-Two interchangeable implementations are provided:
+The loop nest is evaluated as numpy arrays one block of steps at a time:
+traffic totals and the pipeline recurrence (:class:`_PipelineScan`) are
+reduced per block, so peak memory stays bounded at any graph size, and a
+small problem is simply the one-block case.  Blocks are sized from the
+:class:`~repro.engine.tilestats.TileStats` byte budget
+(``REPRO_TILESTATS_BUDGET``), else 16 MiB.  The interpreted loop walks
+that this module is proved against live in ``tests/oracles/``.
 
-- the **vectorized engine** (default): the loop nest is materialized as
-  numpy index grids, per-step populations come from the
-  :class:`~repro.engine.tilestats.TileStats` sparsity cache, and the
-  elastic pipeline is evaluated as a cumulative-max recurrence — per-tile
-  array reductions instead of O(V x tiles) Python iteration;
-- the **reference engine**: the original interpreted loops, selected by
-  setting ``REPRO_REFERENCE_ENGINE=1`` in the environment.  The
-  equivalence suite (``tests/test_engine_vectorized.py``) proves both
-  produce identical :class:`CycleReport`\\ s.
+Nothing on the production cost-model path imports this module.
 """
 
 from __future__ import annotations
 
-import functools
-import math
-import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,33 +45,14 @@ from .tilestats import TileStats, default_byte_budget, resolve_stats
 
 __all__ = [
     "CycleReport",
+    "StepGrids",
     "cycle_accurate_gemm",
     "cycle_accurate_spmm",
-    "cycle_accurate_gemm_reference",
-    "cycle_accurate_spmm_reference",
-    "use_reference_engine",
-    "use_streamed_engine",
+    "step_grid_chunks",
 ]
 
-
-def use_reference_engine() -> bool:
-    """Whether ``REPRO_REFERENCE_ENGINE`` selects the interpreted loops.
-
-    Read at call time so tests and CI can flip engines per invocation.
-    """
-    flag = os.environ.get("REPRO_REFERENCE_ENGINE", "")
-    return flag.strip().lower() in {"1", "true", "yes", "on"}
-
-
-def use_streamed_engine() -> bool:
-    """Whether ``REPRO_STREAM_ENGINE`` forces the chunk-streamed engines.
-
-    Without the flag, streaming engages automatically whenever a
-    :class:`TileStats` byte budget is set and the dense working set would
-    exceed it.  Read at call time, like :func:`use_reference_engine`.
-    """
-    flag = os.environ.get("REPRO_STREAM_ENGINE", "")
-    return flag.strip().lower() in {"1", "true", "yes", "on"}
+# Streaming block size when no byte budget is set.
+_DEFAULT_BLOCK_BYTES = 1 << 24
 
 
 @dataclass
@@ -105,92 +82,31 @@ def _ranges(extent: int, tile: int) -> list[tuple[int, int]]:
 # Elastic three-stage pipeline
 # ----------------------------------------------------------------------
 
-def _pipeline(
-    stream_elems: list[float],
-    drain_elems: list[float],
-    load_cycles: list[int],
-    hw: AcceleratorConfig,
-) -> tuple[int, int]:
-    """Elastic 3-stage pipeline; returns (total_cycles, fill_cycles).
+class _PipelineScan:
+    """The elastic three-stage pipeline, evaluated block by block.
 
     Distribution and collection are continuous work-conserving servers (up
     to ``bw`` elements per cycle); the PE array retires one tile wavefront
     per cycle once its operands have arrived, and stationary-tile loads
     serialize with compute (no double buffering in the RF).
 
-    All inputs are integer element counts, so the recurrence is evaluated
-    in exact rational arithmetic with denominator ``bwd * bwr`` (Python
-    ints never overflow): the final ``ceil`` is then deterministic, where
-    the historical per-step float accumulation rounded nondeterministically
-    when the true value landed on a cycle boundary — and, crucially, the
-    vectorized scan (:func:`_pipeline_arrays`) computes bit-identical
-    results because integer max-plus algebra reassociates exactly.
-    """
-    bwd = hw.effective_dist_bw
-    bwr = hw.effective_red_bw
-    scale = bwd * bwr
-    dist_num = 0  # numerators over `scale`
-    compute_num = 0
-    collect_num = 0
-    fill_num = 0
-    for i, (s, w, l) in enumerate(zip(stream_elems, drain_elems, load_cycles)):
-        dist_num += int(s) * bwr
-        if i == 0:
-            fill_num = dist_num
-        compute_num = max(compute_num, dist_num) + (1 + l) * scale
-        collect_num = max(collect_num, compute_num) + int(w) * bwd
-    return -(-collect_num // scale), -(-fill_num // scale)
-
-
-def _pipeline_arrays(
-    stream: np.ndarray,
-    drain: np.ndarray,
-    load: np.ndarray,
-    hw: AcceleratorConfig,
-) -> tuple[int, int]:
-    """Vectorized :func:`_pipeline`: the same recurrence as two max-plus
-    cumulative scans over the exact scaled-integer numerators.
-
-    With ``d`` the distribution-free numerators and ``L`` the scaled
-    per-step compute latencies, ``compute[i] = max(compute[i-1], d[i]) +
-    L[i]`` unrolls to ``max_j<=i (d[j] + sum(L[j..i]))`` — a running
-    maximum of ``d - cumsum(L)`` shifted back by ``cumsum(L)``.  The
-    collection server is the same scan again, of which only the final
-    value is needed.  int64 numerators bound the usable problem size
-    (counts x bandwidths below ~9e18 — far beyond the "small problems
-    only" scope of this validator).
-    """
-    if stream.size == 0:
-        return 0, 0
-    bwd = hw.effective_dist_bw
-    bwr = hw.effective_red_bw
-    scale = bwd * bwr
-    s = np.asarray(stream, dtype=np.int64)
-    w = np.asarray(drain, dtype=np.int64)
-    lat = (1 + np.asarray(load, dtype=np.int64)) * scale
-    dist = np.add.accumulate(s) * bwr
-    cum_lat = np.add.accumulate(lat)
-    compute = np.maximum.accumulate(dist - (cum_lat - lat)) + cum_lat
-    wd = w * bwd
-    cum_w = np.add.accumulate(wd)
-    collect_num = int(np.max(compute - (cum_w - wd)) + cum_w[-1])
-    fill_num = int(dist[0])
-    return -(-collect_num // scale), -(-fill_num // scale)
-
-
-class _PipelineScan:
-    """Chunk-streamed :func:`_pipeline_arrays`: the same exact max-plus
-    recurrence evaluated incrementally over per-step blocks.
-
-    The dense scan is two cumulative maxima over scaled-integer
-    numerators; both decompose into running state carried across chunks:
-    the cumulative stream/latency/drain sums, ``A`` = the running maximum
-    of ``dist[j] - cum_lat[j-1]`` (seeding the next chunk's
+    All inputs are integer element counts, so the recurrence runs over
+    exact scaled-integer numerators with denominator ``bwd * bwr`` and the
+    final ``ceil`` is deterministic.  With ``d`` the cumulative
+    distribution numerators and ``L`` the scaled per-step compute
+    latencies, ``compute[i] = max(compute[i-1], d[i]) + L[i]`` unrolls to
+    ``max_j<=i (d[j] + sum(L[j..i]))`` — a running maximum of
+    ``d - cumsum(L)`` shifted back by ``cumsum(L)``; the collection server
+    is the same scan again, of which only the final value is needed.  Both
+    maxima carry across blocks as running state: the cumulative
+    stream/latency/drain sums, ``A`` = the running maximum of
+    ``dist[j] - cum_lat[j-1]`` (seeding the next block's
     ``maximum.accumulate``), and ``B`` = the running maximum of
-    ``compute[i] - cum_w[i-1]`` (of which only the final value matters).
-    Because integer max-plus algebra reassociates exactly, feeding the
-    same per-step values in the same order through any chunking yields
-    bit-identical ``(cycles, fill)``.
+    ``compute[i] - cum_w[i-1]``.  Because integer max-plus algebra
+    reassociates exactly, feeding the same per-step values in the same
+    order through any blocking yields bit-identical ``(cycles, fill)``.
+    int64 numerators bound the usable problem size (counts x bandwidths
+    below ~9e18).
     """
 
     def __init__(self, hw: AcceleratorConfig) -> None:
@@ -239,8 +155,7 @@ class _PipelineScan:
         self._w = int(cum_w[-1])
 
     def finish(self) -> tuple[int, int]:
-        """``(total_cycles, fill_cycles)`` — :func:`_pipeline_arrays` of
-        the concatenation of everything fed so far."""
+        """``(total_cycles, fill_cycles)`` of everything fed so far."""
         if not self._seen:
             return 0, 0
         collect_num = int(self._b) + self._w
@@ -248,249 +163,35 @@ class _PipelineScan:
 
 
 # ----------------------------------------------------------------------
-# GEMM: loop-nest geometry (hoisted out of the per-candidate path)
+# GEMM micro-simulation
 # ----------------------------------------------------------------------
 
 _LEFT_DIMS = (Dim.V, Dim.F)
 _RIGHT_DIMS = (Dim.F, Dim.G)
+# Per-step working set of one GEMM block: ~12 int64/bool arrays.
+_GEMM_STEP_BYTES = 96
 
 
-@dataclass(frozen=True)
-class _GemmGeometry:
-    """Everything about a tiled GEMM loop nest that depends only on
-    ``(sizes, tiles, order)`` — shared across candidates and cached across
-    calls (hardware points, operand names, and psum policy vary per call,
-    the nest itself does not)."""
-
-    steps: dict  # Dim -> trip count
-    pos: dict  # Dim -> loop level
-    total: int
-    n_fsteps: int
-    mat_level: dict  # role ('left'/'right') -> innermost dependence level
-    mat_elems: dict  # role -> per-step tile elements (int64, len total)
-    mat_fetch: dict  # role -> fetch mask (bool, len total)
-    mat_reads: dict  # role -> total fetched elements (int)
-    out_elems: np.ndarray  # per-step output-tile elements
-    completing: np.ndarray  # mask: contraction finishes at this step
-    revisit: np.ndarray  # mask: output tile was visited before (f idx > 0)
-
-
-@functools.lru_cache(maxsize=64)
-def _gemm_geometry(
-    sizes: tuple[int, int, int],
-    tiles: tuple[int, int, int],
-    order: tuple[Dim, ...],
-) -> _GemmGeometry:
-    size = {Dim.V: sizes[0], Dim.F: sizes[1], Dim.G: sizes[2]}
-    tile = {Dim.V: tiles[0], Dim.F: tiles[1], Dim.G: tiles[2]}
-    ranges = {d: _ranges(size[d], tile[d]) for d in size}
-    widths = {
-        d: np.asarray([hi - lo for lo, hi in ranges[d]], dtype=np.int64)
-        for d in size
-    }
-    steps = {d: len(ranges[d]) for d in size}
-    pos = {d: order.index(d) for d in order}
-    extents = tuple(steps[d] for d in order)
-    total = extents[0] * extents[1] * extents[2]
-    strides = (extents[1] * extents[2], extents[2], 1)
-    flat = np.arange(total, dtype=np.int64)
-    level_idx = [(flat // strides[p]) % extents[p] for p in range(3)]
-    dim_idx = {d: level_idx[pos[d]] for d in order}
-    wd = {d: widths[d][dim_idx[d]] for d in order}
-
-    mat_level: dict[str, int] = {}
-    mat_elems: dict[str, np.ndarray] = {}
-    mat_fetch: dict[str, np.ndarray] = {}
-    mat_reads: dict[str, int] = {}
-    for role, dims in (("left", _LEFT_DIMS), ("right", _RIGHT_DIMS)):
-        level = max(pos[d] for d in dims)
-        elems = wd[dims[0]] * wd[dims[1]]
-        # A tile is (re)fetched whenever any loop index at or above its
-        # innermost dependence level changed — i.e. whenever the deeper
-        # levels' odometer rolled over.
-        fetch = (flat % strides[level]) == 0
-        mat_level[role] = level
-        mat_elems[role] = elems
-        mat_fetch[role] = fetch
-        mat_reads[role] = int(elems[fetch].sum())
-
-    f_idx = dim_idx[Dim.F]
-    return _GemmGeometry(
-        steps=steps,
-        pos=pos,
-        total=total,
-        n_fsteps=steps[Dim.F],
-        mat_level=mat_level,
-        mat_elems=mat_elems,
-        mat_fetch=mat_fetch,
-        mat_reads=mat_reads,
-        out_elems=wd[Dim.V] * wd[Dim.G],
-        completing=f_idx == steps[Dim.F] - 1,
-        revisit=f_idx > 0,
-    )
-
-
-# ----------------------------------------------------------------------
-# GEMM micro-simulation
-# ----------------------------------------------------------------------
-
-def cycle_accurate_gemm_reference(
+def cycle_accurate_gemm(
     spec: GemmSpec,
     intra: IntraDataflow,
     tiling: GemmTiling,
     hw: AcceleratorConfig,
+    *,
+    stats: TileStats | None = None,
 ) -> CycleReport:
-    """Walk the tiled GEMM loop nest step by step (interpreted reference)."""
-    if intra.phase is not Phase.COMBINATION:
-        raise ValueError("cycle_accurate_gemm requires a Combination dataflow")
-    sizes = {Dim.V: spec.rows, Dim.F: spec.inner, Dim.G: spec.cols}
-    tiles = {Dim.V: tiling.t_v, Dim.F: tiling.t_f, Dim.G: tiling.t_g}
-    ranges = {d: _ranges(sizes[d], tiles[d]) for d in sizes}
-    order = intra.order
-    pos = {d: order.index(d) for d in order}
-    mat_dims = {
-        spec.left_name: (Dim.V, Dim.F),
-        spec.right_name: (Dim.F, Dim.G),
-    }
-    mat_level = {
-        name: max(pos[d] for d in dims) for name, dims in mat_dims.items()
-    }
-    n_fsteps = len(ranges[Dim.F])
-    live = 1
-    for d in order[pos[Dim.F] + 1 :]:
-        if d in (Dim.V, Dim.G):
-            live *= len(ranges[d])
-    psum_resident = hw.supports_temporal_reduction and live <= hw.pe_accumulators
-    spill = n_fsteps > 1 and not psum_resident
+    """Walk the tiled GEMM loop nest step by step.
 
-    gb_reads: dict[str, float] = {}
-    gb_writes: dict[str, float] = {}
-    stream_list: list[float] = []
-    drain_list: list[float] = []
-    load_list: list[int] = []
-    last_fetch_key: dict[str, tuple | None] = {n: None for n in mat_dims}
-    f_visits: dict[tuple[int, int], int] = {}
-    total_load_stalls = 0
-    bwd = hw.effective_dist_bw
-
-    steps = 0
-    for i0 in range(len(ranges[order[0]])):
-        for i1 in range(len(ranges[order[1]])):
-            for i2 in range(len(ranges[order[2]])):
-                steps += 1
-                tidx = {order[0]: i0, order[1]: i1, order[2]: i2}
-                bounds = {d: ranges[d][tidx[d]] for d in sizes}
-                widths = {d: bounds[d][1] - bounds[d][0] for d in sizes}
-                stream = 0.0
-                load = 0
-                for name, dims in mat_dims.items():
-                    # A tile is (re)fetched whenever any loop index at or
-                    # above its innermost dependence level changed.
-                    key = tuple(tidx[order[i]] for i in range(mat_level[name] + 1))
-                    if last_fetch_key[name] != key:
-                        last_fetch_key[name] = key
-                        elems = widths[dims[0]] * widths[dims[1]]
-                        gb_reads[name] = gb_reads.get(name, 0.0) + elems
-                        if mat_level[name] == 2:
-                            stream += elems
-                        else:
-                            load += math.ceil(elems / bwd)
-                out_tile = (tidx[Dim.V], tidx[Dim.G])
-                out_elems = widths[Dim.V] * widths[Dim.G]
-                visits = f_visits.get(out_tile, 0) + 1
-                f_visits[out_tile] = visits
-                drain = 0.0
-                if visits == n_fsteps:
-                    gb_writes[spec.out_name] = (
-                        gb_writes.get(spec.out_name, 0.0) + out_elems
-                    )
-                    drain += out_elems
-                elif spill:
-                    gb_writes["psum"] = gb_writes.get("psum", 0.0) + out_elems
-                    drain += out_elems
-                if visits > 1 and spill:
-                    gb_reads["psum"] = gb_reads.get("psum", 0.0) + out_elems
-                    stream += out_elems
-                stream_list.append(stream)
-                drain_list.append(drain)
-                load_list.append(load)
-                total_load_stalls += load
-
-    cycles, fill = _pipeline(stream_list, drain_list, load_list, hw)
-    return CycleReport(
-        cycles=cycles,
-        steps=steps,
-        gb_reads=gb_reads,
-        gb_writes=gb_writes,
-        load_stall_cycles=total_load_stalls,
-        fill_cycles=fill,
-    )
+    Dense GEMM needs no sparsity statistics: ``stats`` (accepted for
+    signature symmetry with the SpMM engine) only lends its byte budget to
+    size the step blocks.
+    """
+    budget = stats.byte_budget if stats is not None else default_byte_budget()
+    chunk = (budget or _DEFAULT_BLOCK_BYTES) // _GEMM_STEP_BYTES
+    return _gemm_blocks(spec, intra, tiling, hw, chunk_steps=chunk)
 
 
-def _cycle_accurate_gemm_vectorized(
-    spec: GemmSpec,
-    intra: IntraDataflow,
-    tiling: GemmTiling,
-    hw: AcceleratorConfig,
-) -> CycleReport:
-    """Vectorized GEMM micro-simulation over cached loop-nest geometry."""
-    if intra.phase is not Phase.COMBINATION:
-        raise ValueError("cycle_accurate_gemm requires a Combination dataflow")
-    geo = _gemm_geometry(
-        (spec.rows, spec.inner, spec.cols),
-        (tiling.t_v, tiling.t_f, tiling.t_g),
-        intra.order,
-    )
-    live = 1
-    for d in intra.order[geo.pos[Dim.F] + 1 :]:
-        if d in (Dim.V, Dim.G):
-            live *= geo.steps[d]
-    psum_resident = hw.supports_temporal_reduction and live <= hw.pe_accumulators
-    spill = geo.n_fsteps > 1 and not psum_resident
-    bwd = hw.effective_dist_bw
-
-    gb_reads: dict[str, float] = {}
-    stream = np.zeros(geo.total, dtype=np.float64)
-    load = np.zeros(geo.total, dtype=np.int64)
-    roles = {"left": spec.left_name, "right": spec.right_name}
-    for role, name in roles.items():
-        gb_reads[name] = gb_reads.get(name, 0.0) + float(geo.mat_reads[role])
-        if geo.mat_level[role] == 2:
-            stream += geo.mat_elems[role]  # streamed: fetched every step
-        else:
-            fetch = geo.mat_fetch[role]
-            # Stationary at some level: each tile load serializes with
-            # compute (no double buffering in the substrate's RF).
-            load[fetch] += np.ceil(geo.mat_elems[role][fetch] / bwd).astype(
-                np.int64
-            )
-
-    out = geo.out_elems
-    gb_writes: dict[str, float] = {
-        spec.out_name: float(out[geo.completing].sum())
-    }
-    if spill:
-        drain = out.astype(np.float64)  # every visit drains: out or psum
-        gb_writes["psum"] = float(out[~geo.completing].sum())
-        gb_reads["psum"] = gb_reads.get("psum", 0.0) + float(
-            out[geo.revisit].sum()
-        )
-        stream = stream + np.where(geo.revisit, out, 0)
-    else:
-        drain = np.where(geo.completing, out, 0).astype(np.float64)
-
-    cycles, fill = _pipeline_arrays(stream, drain, load, hw)
-    return CycleReport(
-        cycles=cycles,
-        steps=geo.total,
-        gb_reads=gb_reads,
-        gb_writes=gb_writes,
-        load_stall_cycles=int(load.sum()),
-        fill_cycles=fill,
-    )
-
-
-def _cycle_accurate_gemm_streamed(
+def _gemm_blocks(
     spec: GemmSpec,
     intra: IntraDataflow,
     tiling: GemmTiling,
@@ -498,12 +199,11 @@ def _cycle_accurate_gemm_streamed(
     *,
     chunk_steps: int,
 ) -> CycleReport:
-    """Chunk-streamed GEMM micro-simulation: :func:`_gemm_geometry`'s
-    per-step arrays recomputed per flat-index range ``[lo, hi)`` and
-    reduced on the fly, so peak memory is O(chunk) instead of O(total).
+    """GEMM micro-simulation over flat-step blocks ``[lo, lo + chunk_steps)``.
 
     Every per-step quantity is a pure function of the flat step index, so
-    chunked recomputation is trivially bit-identical to the dense path.
+    each block recomputes its slice of the loop nest and reduces it on the
+    fly; peak memory is O(chunk_steps).
     """
     if intra.phase is not Phase.COMBINATION:
         raise ValueError("cycle_accurate_gemm requires a Combination dataflow")
@@ -549,11 +249,16 @@ def _cycle_accurate_gemm_streamed(
         for role, (_, dims) in roles.items():
             level = max(pos[d] for d in dims)
             elems = wd[dims[0]] * wd[dims[1]]
+            # A tile is (re)fetched whenever any loop index at or above its
+            # innermost dependence level changed — i.e. whenever the deeper
+            # levels' odometer rolled over.
             fetch = (flat % strides[level]) == 0
             mat_reads[role] += int(elems[fetch].sum())
             if level == 2:
                 stream += elems  # streamed: fetched every step
             else:
+                # Stationary at some level: each tile load serializes with
+                # compute (no double buffering in the substrate's RF).
                 load[fetch] += -(-elems[fetch] // bwd)
         f_idx = dim_idx[Dim.F]
         completing = f_idx == n_fsteps - 1
@@ -592,278 +297,100 @@ def _cycle_accurate_gemm_streamed(
     )
 
 
-# Per-step transient footprint of the dense paths, in 8-byte words: the
-# GEMM geometry keeps ~12 int64/bool arrays of length `total`; the SpMM
-# nest adds the flat/level grids on top of the 3 stats grids.  Used only
-# to decide when a byte budget forces the streamed engines.
-_DENSE_WORDS_PER_STEP = 12
+# ----------------------------------------------------------------------
+# SpMM step populations
+# ----------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class StepGrids:
+    """Per-(vertex-tile, neighbor-step) populations for a run of tiles.
 
-def _gemm_stream_budget(stats: TileStats | None) -> int | None:
-    return stats.byte_budget if stats is not None else default_byte_budget()
+    Row ``vi`` describes vertex tile ``vi`` (``T_V`` lanes in lock step);
+    column ``ni`` the tile's ``ni``-th neighbor step:
 
+    - ``active[vi, ni]``: lanes still working (``ceil(deg/T_N) > ni``);
+    - ``edges[vi, ni]``: real edges consumed across those lanes
+      (``min(deg - ni*T_N, T_N)`` summed over active lanes);
+    - ``completing[vi, ni]``: lanes finishing their contraction here.
 
-def cycle_accurate_gemm(
-    spec: GemmSpec,
-    intra: IntraDataflow,
-    tiling: GemmTiling,
-    hw: AcceleratorConfig,
-    *,
-    stats: TileStats | None = None,
-) -> CycleReport:
-    """Walk the tiled GEMM loop nest step by step.
-
-    ``stats`` is accepted for signature symmetry with the SpMM engine
-    (dense GEMM needs no sparsity statistics) and, when it carries a byte
-    budget, to bound the micro-simulation's working set: loop nests whose
-    dense geometry would exceed the budget run chunk-streamed instead.
+    Spilling lanes are ``active - completing``; psum re-readers are
+    ``active`` wherever ``ni > 0``.  Shapes are ``(n_vtiles, max_nsteps)``
+    with ``max_nsteps`` the max of ``tile_steps`` over the run.
     """
-    if use_reference_engine():
-        return cycle_accurate_gemm_reference(spec, intra, tiling, hw)
-    budget = _gemm_stream_budget(stats)
-    if budget is not None or use_streamed_engine():
-        size = {Dim.V: spec.rows, Dim.F: spec.inner, Dim.G: spec.cols}
-        tile = {Dim.V: tiling.t_v, Dim.F: tiling.t_f, Dim.G: tiling.t_g}
-        total = 1
-        for d in size:
-            total *= len(_ranges(size[d], tile[d]))
-        dense_bytes = 8 * _DENSE_WORDS_PER_STEP * total
-        if use_streamed_engine() or (budget is not None and dense_bytes > budget):
-            chunk = max(
-                1, (budget or (1 << 24)) // (8 * _DENSE_WORDS_PER_STEP)
-            )
-            return _cycle_accurate_gemm_streamed(
-                spec, intra, tiling, hw, chunk_steps=chunk
-            )
-    return _cycle_accurate_gemm_vectorized(spec, intra, tiling, hw)
+
+    active: np.ndarray
+    edges: np.ndarray
+    completing: np.ndarray
+    tile_steps: np.ndarray  # lock-step steps per vertex tile (length n_vtiles)
+
+
+def _scatter_grids(
+    deg: np.ndarray, s: np.ndarray, t_v: int, t_n: int, tile_steps: np.ndarray
+) -> StepGrids:
+    """Build a :class:`StepGrids` for a contiguous run of vertices.
+
+    ``deg``/``s`` are the run's per-vertex degrees and neighbor-step
+    counts; the run's first vertex is lane 0 of tile row 0 (callers slice
+    on tile boundaries), and ``tile_steps`` its lock-step maxima.  A lane
+    is active on ``[0, steps)``, completes at ``steps - 1``, and consumes
+    ``t_n`` edges per step except the remainder ``deg - (steps - 1) * t_n``
+    on its last one.
+    """
+    num_v = int(deg.size)
+    n_vtiles = int(tile_steps.size)
+    max_nsteps = int(tile_steps.max()) if n_vtiles else 0
+    shape = (n_vtiles, max_nsteps)
+    active = np.zeros((n_vtiles, max_nsteps + 1), dtype=np.int64)
+    completing = np.zeros(shape, dtype=np.int64)
+    deficit = np.zeros(shape, dtype=np.int64)
+    if num_v:
+        vt = np.arange(num_v, dtype=np.int64) // t_v
+        # Active lanes: +1 over [0, s_v) per vertex, via a difference
+        # array cumsum'd along the step axis.
+        np.add.at(active, (vt, np.zeros(num_v, dtype=np.int64)), 1)
+        np.add.at(active, (vt, s), -1)
+        np.cumsum(active, axis=1, out=active)
+        live = s > 0
+        last = s[live] - 1
+        np.add.at(completing, (vt[live], last), 1)
+        # Edge deficit at the completing step: the last step consumes
+        # only the remainder, not a full t_n.
+        rem = deg[live] - last * t_n
+        np.add.at(deficit, (vt[live], last), t_n - rem)
+    active = np.ascontiguousarray(active[:, :max_nsteps])
+    edges = active * t_n - deficit
+    return StepGrids(
+        active=active, edges=edges, completing=completing, tile_steps=tile_steps
+    )
+
+
+def step_grid_chunks(
+    stats: TileStats, t_v: int, t_n: int, chunk_rows: int
+) -> Iterator[StepGrids]:
+    """The step populations of ``stats.graph`` as consecutive vtile-row
+    slabs of at most ``chunk_rows`` rows each.
+
+    Slabs are built on the fly from the O(V) per-vertex
+    :class:`~repro.engine.tilestats.TileStats` entries and never cached,
+    so peak memory is ``O(chunk_rows x slab max_nsteps)`` regardless of
+    graph size.  Each slab's step axis ends at its own tiles' maximum, so
+    masking by ``tile_steps`` yields exactly the whole graph's cells.
+    """
+    s = stats.per_v_steps(t_n)
+    tile_steps = stats.vtile_steps(t_v, t_n)
+    deg = stats.graph.degrees
+    num_v = stats.graph.num_vertices
+    for row_lo in range(0, int(tile_steps.size), chunk_rows):
+        row_hi = row_lo + chunk_rows
+        v_lo, v_hi = row_lo * t_v, min(row_hi * t_v, num_v)
+        yield _scatter_grids(
+            deg[v_lo:v_hi], s[v_lo:v_hi], t_v, t_n, tile_steps[row_lo:row_hi]
+        )
 
 
 # ----------------------------------------------------------------------
 # SpMM micro-simulation
 # ----------------------------------------------------------------------
-
-def cycle_accurate_spmm_reference(
-    spec: SpmmSpec,
-    intra: IntraDataflow,
-    tiling: SpmmTiling,
-    hw: AcceleratorConfig,
-) -> CycleReport:
-    """Walk the tiled SpMM loop nest step by step (interpreted reference).
-
-    Lock-step semantics: a (vtile, ftile) pass takes as many neighbor steps
-    as its longest row needs; lanes whose rows finished early sit idle and
-    produce no traffic.
-    """
-    if intra.phase is not Phase.AGGREGATION:
-        raise ValueError("cycle_accurate_spmm requires an Aggregation dataflow")
-    g: CSRGraph = spec.graph
-    num_v = g.num_vertices
-    feat = spec.feat
-    t_v = min(tiling.t_v, max(1, num_v))
-    t_f = min(tiling.t_f, feat)
-    t_n = max(1, tiling.t_n)
-    deg = g.degrees
-    v_ranges = _ranges(num_v, t_v)
-    f_ranges = _ranges(feat, t_f)
-    per_v_steps = np.ceil(deg / t_n).astype(np.int64)
-    order = intra.order
-    pos = {d: order.index(d) for d in order}
-    live = 1
-    for d in order[pos[Dim.N] + 1 :]:
-        if d is Dim.V:
-            live *= len(v_ranges)
-        elif d is Dim.F:
-            live *= len(f_ranges)
-    psum_resident = hw.supports_temporal_reduction and live <= hw.pe_accumulators
-    max_nsteps = int(per_v_steps.max()) if num_v and deg.size else 0
-    f_latched = pos[Dim.F] == 2  # F innermost: edge index latched across f
-
-    gb_reads: dict[str, float] = {"adj": float(num_v + 1)}
-    gb_writes: dict[str, float] = {}
-    stream_list: list[float] = []
-    drain_list: list[float] = []
-
-    spaces = {
-        Dim.V: range(len(v_ranges)),
-        Dim.F: range(len(f_ranges)),
-        Dim.N: range(max(1, max_nsteps)),
-    }
-    steps = 0
-    for a in spaces[order[0]]:
-        for b in spaces[order[1]]:
-            for c in spaces[order[2]]:
-                tidx = {order[0]: a, order[1]: b, order[2]: c}
-                vi, fi, ni = tidx[Dim.V], tidx[Dim.F], tidx[Dim.N]
-                v0, v1 = v_ranges[vi]
-                f0, f1 = f_ranges[fi]
-                tile_steps = int(per_v_steps[v0:v1].max()) if v1 > v0 else 0
-                if ni >= tile_steps:
-                    continue  # lock-step pass already finished for the tile
-                steps += 1
-                fw = f1 - f0
-                stream = 0.0
-                drain = 0.0
-                active_edges = 0
-                completing = 0
-                active = 0
-                continuing_in = 0  # lanes reading psums back (visit > 1)
-                for v in range(v0, v1):
-                    sv = int(per_v_steps[v])
-                    if ni >= sv:
-                        continue
-                    active += 1
-                    lo = g.vertex_ptr[v] + ni * t_n
-                    hi = min(g.vertex_ptr[v + 1], lo + t_n)
-                    active_edges += int(hi - lo)
-                    if ni == sv - 1:
-                        completing += 1
-                    if ni > 0:
-                        continuing_in += 1
-                gb_reads[spec.x_name] = (
-                    gb_reads.get(spec.x_name, 0.0) + active_edges * fw
-                )
-                stream += active_edges * fw
-                if not f_latched or fi == 0:
-                    gb_reads["adj"] = gb_reads.get("adj", 0.0) + active_edges
-                if completing:
-                    gb_writes[spec.out_name] = (
-                        gb_writes.get(spec.out_name, 0.0) + completing * fw
-                    )
-                    drain += completing * fw
-                if not psum_resident:
-                    spilling = active - completing
-                    if spilling > 0:
-                        gb_writes["psum"] = (
-                            gb_writes.get("psum", 0.0) + spilling * fw
-                        )
-                        drain += spilling * fw
-                    if continuing_in > 0:
-                        gb_reads["psum"] = (
-                            gb_reads.get("psum", 0.0) + continuing_in * fw
-                        )
-                        stream += continuing_in * fw
-                stream_list.append(stream)
-                drain_list.append(drain)
-
-    # Zero-degree rows never enter the loop but their (all-zero) output
-    # rows are still flushed once, as in the engine's V x feat write count.
-    zero_rows = int((deg == 0).sum()) if num_v else 0
-    if zero_rows:
-        gb_writes[spec.out_name] = (
-            gb_writes.get(spec.out_name, 0.0) + zero_rows * feat
-        )
-
-    cycles, fill = _pipeline(stream_list, drain_list, [0] * len(stream_list), hw)
-    return CycleReport(
-        cycles=cycles,
-        steps=steps,
-        gb_reads=gb_reads,
-        gb_writes=gb_writes,
-        load_stall_cycles=0,
-        fill_cycles=fill,
-    )
-
-
-def _cycle_accurate_spmm_vectorized(
-    spec: SpmmSpec,
-    intra: IntraDataflow,
-    tiling: SpmmTiling,
-    hw: AcceleratorConfig,
-    stats: TileStats | None,
-) -> CycleReport:
-    """Vectorized SpMM micro-simulation over :class:`TileStats` grids."""
-    if intra.phase is not Phase.AGGREGATION:
-        raise ValueError("cycle_accurate_spmm requires an Aggregation dataflow")
-    g: CSRGraph = spec.graph
-    num_v = g.num_vertices
-    feat = spec.feat
-    t_v = min(tiling.t_v, max(1, num_v))
-    t_f = min(tiling.t_f, feat)
-    t_n = max(1, tiling.t_n)
-    stats = resolve_stats(stats, g)
-    grids = stats.step_grids(t_v, t_n)
-    f_ranges = _ranges(feat, t_f)
-    n_ftiles = len(f_ranges)
-    f_widths = np.asarray([hi - lo for lo, hi in f_ranges], dtype=np.int64)
-    order = intra.order
-    pos = {d: order.index(d) for d in order}
-    live = 1
-    for d in order[pos[Dim.N] + 1 :]:
-        if d is Dim.V:
-            live *= grids.n_vtiles
-        elif d is Dim.F:
-            live *= n_ftiles
-    psum_resident = hw.supports_temporal_reduction and live <= hw.pe_accumulators
-    f_latched = pos[Dim.F] == 2  # F innermost: edge index latched across f
-
-    # The loop nest as flat index grids, in the dataflow's iteration order.
-    extent = {
-        Dim.V: grids.n_vtiles,
-        Dim.F: n_ftiles,
-        Dim.N: max(1, grids.max_nsteps),
-    }
-    shape = tuple(extent[d] for d in order)
-    total = shape[0] * shape[1] * shape[2]
-    strides = (shape[1] * shape[2], shape[2], 1)
-    flat = np.arange(total, dtype=np.int64)
-    level_idx = [(flat // strides[p]) % shape[p] for p in range(3)]
-    vi = level_idx[pos[Dim.V]]
-    fi = level_idx[pos[Dim.F]]
-    ni = level_idx[pos[Dim.N]]
-    mask = ni < grids.tile_steps[vi]  # lock-step pass finished => skipped
-    vi, fi, ni = vi[mask], fi[mask], ni[mask]
-    steps = int(vi.size)
-
-    act = grids.active[vi, ni]
-    edg = grids.edges[vi, ni]
-    comp = grids.completing[vi, ni]
-    fw = f_widths[fi] if steps else f_widths[:0]
-
-    gb_reads: dict[str, float] = {"adj": float(num_v + 1)}
-    gb_writes: dict[str, float] = {}
-    edge_fw = edg * fw
-    stream = edge_fw.astype(np.float64)
-    if steps:
-        gb_reads[spec.x_name] = float(edge_fw.sum())
-        adj_extra = edg[fi == 0].sum() if f_latched else edg.sum()
-        gb_reads["adj"] += float(adj_extra)
-    comp_fw = comp * fw
-    drain = comp_fw.astype(np.float64)
-    out_writes = int(comp_fw.sum())
-    if out_writes:
-        gb_writes[spec.out_name] = float(out_writes)
-    if not psum_resident and steps:
-        spill_fw = (act - comp) * fw
-        spilled = int(spill_fw.sum())
-        if spilled:
-            gb_writes["psum"] = float(spilled)
-        drain = drain + spill_fw
-        cont_fw = np.where(ni > 0, act, 0) * fw
-        continuing = int(cont_fw.sum())
-        if continuing:
-            gb_reads["psum"] = float(continuing)
-        stream = stream + cont_fw
-
-    # Zero-degree rows never enter the loop but their (all-zero) output
-    # rows are still flushed once, as in the engine's V x feat write count.
-    zero_rows = stats.zero_degree_rows
-    if zero_rows:
-        gb_writes[spec.out_name] = (
-            gb_writes.get(spec.out_name, 0.0) + zero_rows * feat
-        )
-
-    cycles, fill = _pipeline_arrays(
-        stream, drain, np.zeros(steps, dtype=np.int64), hw
-    )
-    return CycleReport(
-        cycles=cycles,
-        steps=steps,
-        gb_reads=gb_reads,
-        gb_writes=gb_writes,
-        load_stall_cycles=0,
-        fill_cycles=fill,
-    )
-
 
 def _expand_f_mid(seg_lengths: np.ndarray, n_f: int) -> tuple[np.ndarray, np.ndarray]:
     """Emission indices for an F-middle loop over segmented cells.
@@ -891,7 +418,7 @@ def _expand_f_mid(seg_lengths: np.ndarray, n_f: int) -> tuple[np.ndarray, np.nda
 
 
 def _chunk_cells(
-    grids,
+    grids: StepGrids,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Unmasked cells of one vtile-row slab in (vi asc, ni asc) order.
 
@@ -927,7 +454,7 @@ def _band_cells(
     c1: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Cells of neighbor-step columns ``[c0, c1)`` in (ni asc, vi asc)
-    order, built band-locally with the dense grids' scatter-add math.
+    order, built band-locally with :func:`_scatter_grids`' math.
 
     ``active_idx`` pre-selects the vertices with ``s > c0`` (callers take
     it from a presorted suffix); memory is O(n_vtiles x band width).
@@ -966,28 +493,35 @@ def _band_cells(
     )
 
 
-def _cycle_accurate_spmm_streamed(
+def cycle_accurate_spmm(
     spec: SpmmSpec,
     intra: IntraDataflow,
     tiling: SpmmTiling,
     hw: AcceleratorConfig,
-    stats: TileStats,
+    *,
+    stats: TileStats | None = None,
 ) -> CycleReport:
-    """Chunk-streamed SpMM micro-simulation over :class:`TileStats`.
+    """Walk the tiled SpMM loop nest step by step (CSR-driven N loop).
 
-    Bit-identical to :func:`_cycle_accurate_spmm_vectorized` without ever
-    materializing the dense ``(n_vtiles, max_nsteps)`` grids or the flat
-    loop-nest index arrays: cells are produced in exact nest order —
-    vtile-row slabs (:meth:`TileStats.step_grid_chunks`) when V precedes
-    N in the loop order, neighbor-step column bands otherwise — and the
-    F loop's position picks one of three emission expansions (outer
-    passes, per-segment replay, per-cell repeat).  Traffic totals and the
-    elastic-pipeline recurrence (:class:`_PipelineScan`) are reduced per
-    block, so peak memory is O(block x n_ftiles) at any graph size.
+    Lock-step semantics: a (vtile, ftile) pass takes as many neighbor steps
+    as its longest row needs; lanes whose rows finished early sit idle and
+    produce no traffic.  ``stats`` is an optional
+    :class:`~repro.engine.tilestats.TileStats` handle for the spec's graph;
+    sharing one across candidates amortizes the per-tiling sparsity scans,
+    and its byte budget sizes the blocks.
+
+    Cells are produced in exact nest order without ever materializing the
+    whole ``(n_vtiles, max_nsteps)`` population grids or flat loop-nest
+    index arrays — vtile-row slabs (:func:`step_grid_chunks`) when V
+    precedes N in the loop order, neighbor-step column bands otherwise —
+    and the F loop's position picks one of three emission expansions
+    (outer passes, per-segment replay, per-cell repeat).  Peak memory is
+    O(block x n_ftiles) at any graph size.
     """
     if intra.phase is not Phase.AGGREGATION:
         raise ValueError("cycle_accurate_spmm requires an Aggregation dataflow")
     g: CSRGraph = spec.graph
+    stats = resolve_stats(stats, g)
     num_v = g.num_vertices
     feat = spec.feat
     t_v = min(tiling.t_v, max(1, num_v))
@@ -1051,14 +585,12 @@ def _cycle_accurate_spmm_streamed(
         if f_pass is not None:  # F outermost: one pass per f tile
             sel = np.arange(n_cells, dtype=np.int64)
             fi = np.full(n_cells, f_pass, dtype=np.int64)
-            consume(act, edg, comp, ni, sel, fi)
         elif f_latched:  # F innermost: each cell repeats across f tiles
             sel = np.repeat(np.arange(n_cells, dtype=np.int64), n_ftiles)
             fi = np.tile(np.arange(n_ftiles, dtype=np.int64), n_cells)
-            consume(act, edg, comp, ni, sel, fi)
         else:  # F middle: each segment replays per f tile
             sel, fi = _expand_f_mid(seg_lengths, n_ftiles)
-            consume(act, edg, comp, ni, sel, fi)
+        consume(act, edg, comp, ni, sel, fi)
 
     v_major = pos[Dim.V] < pos[Dim.N]
     f_passes: list[int | None] = (
@@ -1067,8 +599,8 @@ def _cycle_accurate_spmm_streamed(
     if v_major:
         chunk_rows = _spmm_chunk_rows(stats, max_nsteps, n_ftiles)
         for f_pass in f_passes:
-            for chunk in stats.step_grid_chunks(t_v, t_n, chunk_rows):
-                emit(*_chunk_cells(chunk.grids), f_pass)
+            for grids in step_grid_chunks(stats, t_v, t_n, chunk_rows):
+                emit(*_chunk_cells(grids), f_pass)
     elif max_nsteps:
         bandw = _spmm_band_width(stats, n_vtiles, n_ftiles)
         # Presort by step count: each band's active vertices are a suffix.
@@ -1076,7 +608,6 @@ def _cycle_accurate_spmm_streamed(
         s_sorted = s[s_order]
         deg = g.degrees
         for f_pass in f_passes:
-            stats.streamed_chunk_passes += 1
             for c0 in range(0, max_nsteps, bandw):
                 c1 = min(c0 + bandw, max_nsteps)
                 start = int(np.searchsorted(s_sorted, c0, side="right"))
@@ -1118,54 +649,22 @@ def _cycle_accurate_spmm_streamed(
 
 
 def _spmm_chunk_rows(stats: TileStats, max_nsteps: int, n_ftiles: int) -> int:
-    """Vtile rows per streamed slab: sized so the slab grids plus their
-    F-expanded emission arrays fit comfortably inside the byte budget."""
-    target = _stream_block_bytes(stats)
+    """Vtile rows per slab: sized so the slab grids plus their F-expanded
+    emission arrays fit comfortably inside the byte budget."""
+    target = _spmm_block_bytes(stats)
     per_row = 8 * max(1, max_nsteps) * (3 + 4 * max(1, n_ftiles))
     return max(1, target // per_row)
 
 
 def _spmm_band_width(stats: TileStats, n_vtiles: int, n_ftiles: int) -> int:
-    """Neighbor-step columns per streamed band (same sizing rule)."""
-    target = _stream_block_bytes(stats)
+    """Neighbor-step columns per band (same sizing rule)."""
+    target = _spmm_block_bytes(stats)
     per_col = 8 * max(1, n_vtiles) * (3 + 4 * max(1, n_ftiles))
     return max(1, target // per_col)
 
 
-def _stream_block_bytes(stats: TileStats) -> int:
+def _spmm_block_bytes(stats: TileStats) -> int:
     budget = stats.byte_budget
     if budget is None:
-        return 1 << 24  # forced streaming with no budget: 16 MiB blocks
+        return _DEFAULT_BLOCK_BYTES
     return max(budget // 4, 1 << 16)
-
-
-def cycle_accurate_spmm(
-    spec: SpmmSpec,
-    intra: IntraDataflow,
-    tiling: SpmmTiling,
-    hw: AcceleratorConfig,
-    *,
-    stats: TileStats | None = None,
-) -> CycleReport:
-    """Walk the tiled SpMM loop nest step by step (CSR-driven N loop).
-
-    Lock-step semantics: a (vtile, ftile) pass takes as many neighbor steps
-    as its longest row needs; lanes whose rows finished early sit idle and
-    produce no traffic.  ``stats`` is an optional
-    :class:`~repro.engine.tilestats.TileStats` handle for the spec's graph;
-    sharing one across candidates amortizes the per-tiling sparsity scans,
-    and its byte budget (or ``REPRO_STREAM_ENGINE=1``) selects the
-    chunk-streamed engine when the dense grids would not fit.
-    """
-    if use_reference_engine():
-        return cycle_accurate_spmm_reference(spec, intra, tiling, hw)
-    g = spec.graph
-    resolved = resolve_stats(stats, g)
-    t_v = min(tiling.t_v, max(1, g.num_vertices))
-    t_n = max(1, tiling.t_n)
-    budget = resolved.byte_budget
-    if use_streamed_engine() or (
-        budget is not None and resolved.grid_nbytes(t_v, t_n) > budget
-    ):
-        return _cycle_accurate_spmm_streamed(spec, intra, tiling, hw, resolved)
-    return _cycle_accurate_spmm_vectorized(spec, intra, tiling, hw, resolved)

@@ -1,10 +1,9 @@
-"""Per-workload sparsity-statistics cache (the vectorized engines' fuel).
+"""Per-workload sparsity-statistics cache (the tile engines' fuel).
 
 Every (dataflow, tiling) candidate the design-space explorer costs against
 one graph re-derives the same CSR facts: neighbor steps per vertex
-(``ceil(deg / T_N)``), lock-step maxima per vertex tile, and — for the
-event-driven micro-simulator — the per-(vtile, nstep) active-lane,
-active-edge, and completing-lane populations.  Dynasparse-style, those
+(``ceil(deg / T_N)``), their psum-revisit and accumulation sums, and
+lock-step maxima per vertex tile.  Dynasparse-style, those
 facts depend only on the *sparsity pattern* and the tile sizes, never on
 the loop order, feature width, or hardware point, so they can be computed
 once per ``(graph, T_N[, T_V])`` and shared by every candidate of a
@@ -23,31 +22,24 @@ All entries are derived with prefix-sum / scatter-add kernels over
 bumps ``hits``/``misses`` so cache effectiveness is assertable in tests
 and reportable by benchmarks.
 
-Memory bounding (the web-scale tier): dense :class:`StepGrids` entries are
-``(n_vtiles, max_nsteps)`` int64 grids — on a heavy-tail million-vertex
-graph a single entry can exceed host memory, and the cache keeps one per
-tiling.  A :class:`TileStats` therefore accepts a ``byte_budget`` (or the
-``REPRO_TILESTATS_BUDGET`` environment variable): cached arrays are
-accounted and evicted least-recently-used when the total exceeds the
-budget, and :meth:`TileStats.step_grid_chunks` produces the same grids as
-a stream of fixed-size vtile-row chunks so the micro-simulator can run as
-a chunked reduction without ever materializing a full grid.
+Memory bounding (the web-scale tier): every entry is an O(V) array, and
+the cache keeps one per tile size — on a million-vertex graph a sweep
+over many tilings adds up.  A :class:`TileStats` therefore accepts a
+``byte_budget`` (or the ``REPRO_TILESTATS_BUDGET`` environment variable):
+cached arrays are accounted and evicted least-recently-used when the
+total exceeds the budget.
 """
 
 from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..graphs.csr import CSRGraph
 
 __all__ = [
-    "StepGrids",
-    "StepGridChunk",
     "TileStats",
     "TileStatsRegistry",
     "graph_digest",
@@ -104,99 +96,6 @@ def resolve_stats(stats: "TileStats | None", graph: CSRGraph) -> "TileStats":
     return stats
 
 
-@dataclass(frozen=True)
-class StepGrids:
-    """Dense per-(vertex-tile, neighbor-step) populations for one tiling.
-
-    Row ``vi`` describes vertex tile ``vi`` (``T_V`` lanes in lock step);
-    column ``ni`` the tile's ``ni``-th neighbor step:
-
-    - ``active[vi, ni]``: lanes still working (``ceil(deg/T_N) > ni``);
-    - ``edges[vi, ni]``: real edges consumed across those lanes
-      (``min(deg - ni*T_N, T_N)`` summed over active lanes);
-    - ``completing[vi, ni]``: lanes finishing their contraction here.
-
-    Spilling lanes are ``active - completing``; psum re-readers are
-    ``active`` wherever ``ni > 0``.  Shapes are ``(n_vtiles, max_nsteps)``.
-    """
-
-    active: np.ndarray
-    edges: np.ndarray
-    completing: np.ndarray
-    tile_steps: np.ndarray  # lock-step steps per vertex tile (length n_vtiles)
-    max_nsteps: int
-
-    @property
-    def n_vtiles(self) -> int:
-        return int(self.tile_steps.size)
-
-    def nbytes(self) -> int:
-        return int(
-            self.active.nbytes
-            + self.edges.nbytes
-            + self.completing.nbytes
-            + self.tile_steps.nbytes
-        )
-
-
-@dataclass(frozen=True)
-class StepGridChunk:
-    """One vtile-row slab of a :class:`StepGrids`, as yielded by
-    :meth:`TileStats.step_grid_chunks`.
-
-    ``grids`` covers vertex tiles ``[row_lo, row_hi)`` with a chunk-local
-    ``max_nsteps`` (the max over the slab's tiles), so a consumer masking
-    by ``grids.tile_steps`` sees exactly the dense grid's populations.
-    """
-
-    row_lo: int
-    row_hi: int
-    grids: StepGrids
-
-
-def _scatter_grids(
-    deg: np.ndarray, s: np.ndarray, t_v: int, t_n: int, tile_steps: np.ndarray
-) -> StepGrids:
-    """Build a :class:`StepGrids` for a contiguous run of vertices.
-
-    ``deg``/``s`` are the run's per-vertex degrees and neighbor-step
-    counts; the run's first vertex is lane 0 of tile row 0 (callers slice
-    on tile boundaries), and ``tile_steps`` its lock-step maxima.  Shared
-    by the dense build and the chunked stream so both produce identical
-    populations by construction.
-    """
-    num_v = int(deg.size)
-    n_vtiles = int(tile_steps.size)
-    max_nsteps = int(tile_steps.max()) if n_vtiles else 0
-    shape = (n_vtiles, max_nsteps)
-    active = np.zeros((n_vtiles, max_nsteps + 1), dtype=np.int64)
-    completing = np.zeros(shape, dtype=np.int64)
-    deficit = np.zeros(shape, dtype=np.int64)
-    if num_v:
-        vt = np.arange(num_v, dtype=np.int64) // t_v
-        # Active lanes: +1 over [0, s_v) per vertex, via a difference
-        # array cumsum'd along the step axis.
-        np.add.at(active, (vt, np.zeros(num_v, dtype=np.int64)), 1)
-        np.add.at(active, (vt, s), -1)
-        np.cumsum(active, axis=1, out=active)
-        live = s > 0
-        last = s[live] - 1
-        np.add.at(completing, (vt[live], last), 1)
-        # Edge deficit at the completing step: the last step consumes
-        # only the remainder, not a full t_n.
-        rem = deg[live] - last * t_n
-        np.add.at(deficit, (vt[live], last), t_n - rem)
-    active = np.ascontiguousarray(active[:, :max_nsteps])
-    edges = active * t_n - deficit
-    return StepGrids(
-        active=active,
-        edges=edges,
-        completing=completing,
-        tile_steps=tile_steps,
-        max_nsteps=max_nsteps,
-    )
-
-
 class TileStats:
     """Sparsity statistics of one graph, memoized per tile size.
 
@@ -205,10 +104,7 @@ class TileStats:
     - ``per_v_steps(t_n)``: neighbor steps per vertex;
     - ``spill_units(t_n)`` / ``accum_units(t_n)``: summed psum-revisit and
       accumulation counts (the tile engine's per-feature multipliers);
-    - ``vtile_steps(t_v, t_n)``: lock-step maxima per vertex tile;
-    - ``step_grids(t_v, t_n)``: the micro-simulator's :class:`StepGrids`;
-    - ``step_grid_chunks(t_v, t_n, chunk_rows)``: the same populations as
-      a stream of row slabs, never cached — the memory-bounded path.
+    - ``vtile_steps(t_v, t_n)``: lock-step maxima per vertex tile.
 
     One instance is safe to share across candidates, dataflows, feature
     widths, and hardware points of the same graph.  With a ``byte_budget``
@@ -226,14 +122,11 @@ class TileStats:
         self.misses = 0
         self.evictions = 0
         self.peak_nbytes = 0  # monotone: high-water mark of accounted bytes
-        self.dense_grid_builds = 0
-        self.streamed_chunk_passes = 0
         self._total_nbytes = 0
         self._lru: OrderedDict[tuple, int] = OrderedDict()
         self._per_v_steps: dict[int, np.ndarray] = {}
         self._unit_sums: dict[int, tuple[int, int]] = {}
         self._vtile_steps: dict[tuple[int, int], np.ndarray] = {}
-        self._grids: dict[tuple[int, int], StepGrids] = {}
 
     # -- bookkeeping ----------------------------------------------------
     def _tally(self, present: bool) -> None:
@@ -280,8 +173,6 @@ class TileStats:
             self._per_v_steps.pop(key[1], None)
         elif kind == "vts":
             self._vtile_steps.pop(key[1:], None)
-        elif kind == "grid":
-            self._grids.pop(key[1:], None)
 
     @property
     def zero_degree_rows(self) -> int:
@@ -349,91 +240,6 @@ class TileStats:
             self._touch(("vts", t_v, t_n))
         return out
 
-    # -- micro-simulator grids ------------------------------------------
-    def grid_nbytes(self, t_v: int, t_n: int) -> int:
-        """Predicted dense :meth:`step_grids` footprint for this tiling,
-        without building it — three ``(n_vtiles, max_nsteps)`` int64
-        arrays plus the ``(n_vtiles,)`` lock-step maxima.  Matches
-        :meth:`StepGrids.nbytes` exactly; the engines consult this against
-        ``byte_budget`` to pick the streamed path before any allocation
-        happens."""
-        s = self.per_v_steps(t_n)
-        num_v = self.graph.num_vertices
-        n_vtiles = -(-num_v // t_v) if num_v else 0
-        max_nsteps = int(s.max()) if s.size else 0
-        return 8 * n_vtiles * (3 * max_nsteps + 1)
-
-    def step_grids(self, t_v: int, t_n: int) -> StepGrids:
-        """Dense per-(vtile, nstep) populations; see :class:`StepGrids`.
-
-        Built by scatter-adding each vertex's contribution into its tile
-        row — a lane is active on ``[0, steps)``, completes at
-        ``steps - 1``, and consumes ``t_n`` edges per step except the
-        remainder ``deg - (steps - 1) * t_n`` on its last one.
-        """
-        key = (t_v, t_n)
-        out = self._grids.get(key)
-        self._tally(out is not None)
-        if out is None:
-            s = self.per_v_steps(t_n)
-            tile_steps = self.vtile_steps(t_v, t_n)
-            out = _scatter_grids(self.graph.degrees, s, t_v, t_n, tile_steps)
-            for arr in (out.active, out.edges, out.completing):
-                arr.setflags(write=False)  # shared across candidates
-            self._grids[key] = out
-            self.dense_grid_builds += 1
-            grid_bytes = (
-                out.active.nbytes + out.edges.nbytes + out.completing.nbytes
-            )
-            self._account(("grid", t_v, t_n), int(grid_bytes))
-        else:
-            self._touch(("grid", t_v, t_n))
-        return out
-
-    def step_grid_chunks(
-        self, t_v: int, t_n: int, chunk_rows: int
-    ) -> Iterator[StepGridChunk]:
-        """The :meth:`step_grids` populations as a stream of vtile-row
-        slabs of at most ``chunk_rows`` rows each (:class:`StepGridChunk`).
-
-        Chunks are built on the fly from the O(V) per-vertex entries and
-        never cached, so peak memory is ``O(chunk_rows x slab max_nsteps)``
-        regardless of graph size — the memory-bounded alternative the
-        streamed micro-simulator consumes.  Masking each slab by its
-        ``tile_steps`` yields cell populations identical to the dense
-        grid's (both paths share :func:`_scatter_grids`).
-        """
-        if chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-        s = self.per_v_steps(t_n)
-        tile_steps = self.vtile_steps(t_v, t_n)
-        self.streamed_chunk_passes += 1
-        return self._iter_chunks(s, tile_steps, t_v, t_n, chunk_rows)
-
-    def _iter_chunks(
-        self,
-        s: np.ndarray,
-        tile_steps: np.ndarray,
-        t_v: int,
-        t_n: int,
-        chunk_rows: int,
-    ) -> Iterator[StepGridChunk]:
-        deg = self.graph.degrees
-        num_v = self.graph.num_vertices
-        n_vtiles = int(tile_steps.size)
-        for row_lo in range(0, n_vtiles, chunk_rows):
-            row_hi = min(row_lo + chunk_rows, n_vtiles)
-            v_lo = row_lo * t_v
-            v_hi = min(row_hi * t_v, num_v)
-            grids = _scatter_grids(
-                deg[v_lo:v_hi],
-                s[v_lo:v_hi],
-                t_v,
-                t_n,
-                tile_steps[row_lo:row_hi],
-            )
-            yield StepGridChunk(row_lo=row_lo, row_hi=row_hi, grids=grids)
-
 
 class TileStatsRegistry:
     """Session-scoped pool of :class:`TileStats`, one per distinct graph.
@@ -442,18 +248,17 @@ class TileStatsRegistry:
     two workload contexts built from independently-loaded copies of one
     dataset (e.g. overlapping campaign units) resolve to the same cache.
     Only one graph per distinct pattern is kept alive — the one inside
-    its :class:`TileStats`.  ``byte_budget`` is forwarded to every cache
-    the registry creates (``None`` defers to ``REPRO_TILESTATS_BUDGET``).
+    its :class:`TileStats`.  Every cache the registry creates takes its
+    byte budget from ``REPRO_TILESTATS_BUDGET``.
     """
 
-    def __init__(self, byte_budget: int | None = None) -> None:
-        self.byte_budget = byte_budget
+    def __init__(self) -> None:
         self._by_digest: dict[str, TileStats] = {}
 
     def for_graph(self, graph: CSRGraph) -> TileStats:
         stats = self._by_digest.get(graph.pattern_digest)
         if stats is None:
-            stats = TileStats(graph, byte_budget=self.byte_budget)
+            stats = TileStats(graph)
             self._by_digest[graph.pattern_digest] = stats
         return stats
 
@@ -475,10 +280,6 @@ class TileStatsRegistry:
             "nbytes": sum(c.nbytes() for c in caches),
             "peak_nbytes": sum(c.peak_nbytes for c in caches),
             "evictions": sum(c.evictions for c in caches),
-            "dense_grid_builds": sum(c.dense_grid_builds for c in caches),
-            "streamed_chunk_passes": sum(
-                c.streamed_chunk_passes for c in caches
-            ),
         }
 
     def __len__(self) -> int:

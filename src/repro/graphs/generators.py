@@ -293,8 +293,8 @@ def web_scale(
     adjacency matrix's quadrants with skewed probabilities ``(a, b, c,
     1-a-b-c)``, which yields the heavy-tailed in/out-degree distributions
     of web/social graphs — hub rows thousands of edges deep next to a
-    long tail of near-empty rows, the shape the streamed engines and the
-    nnz-balanced block partitioner exist for.
+    long tail of near-empty rows, the shape the block-streamed validator
+    and the nnz-balanced block partitioner exist for.
 
     Unlike the small-graph generators above, edges stay *directed* (web
     links are) and the CSR arrays are assembled directly from vectorized

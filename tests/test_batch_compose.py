@@ -3,8 +3,9 @@
 Proves the tentpole guarantee end to end: the batch-aware evaluator —
 phase-engine result cache, mapping-grouped dispatch, and candidate-axis
 vectorized PP composition — produces outcomes *byte-identical* to the
-scalar reference path (``REPRO_REFERENCE_ENGINE=1`` with the phase cache
-disabled), including over the paper's full 6,656-point enumeration.
+scalar reference path (the ``tests/oracles/`` enumeration, fingerprints
+and per-candidate PP recurrence, with the phase cache disabled),
+including over the paper's full 6,656-point enumeration.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import json
 
 import pytest
 
+import repro.core.enumeration as enumeration
+import repro.core.interphase as interphase
 from repro.arch.config import AcceleratorConfig
 from repro.analysis.export import run_result_to_record
 from repro.campaign.session import ExplorationSession
@@ -26,6 +29,12 @@ from repro.core.taxonomy import InterPhase
 from repro.core.workload import workload_from_dataset
 from repro.engine.phasecache import PhaseEngineCache
 from repro.graphs.datasets import load_dataset
+
+from oracles.design_space import (
+    bounded_pipeline_batch_reference,
+    enumerate_design_space_reference,
+    fingerprint_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,11 +150,24 @@ class TestBatchedEvaluatorEquality:
         ev = DataflowEvaluator(wl, hw)
         batched = ev.evaluate(design_space_stream(ev))
         assert len(batched) == 6656
-        assert ev.stats.phase_hits > 0
-        # phase cache collapses ~6k engine runs into a few hundred
-        assert ev.stats.phase_misses < 1000
+        hits, misses = ev.stats.phase_hits, ev.stats.phase_misses
+        # phase cache collapses ~12k engine runs into a few hundred
+        assert misses < 1000
+        assert hits / (hits + misses) >= 0.9
 
-        monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "1")
+        monkeypatch.setattr(
+            interphase, "bounded_pipeline_batch", bounded_pipeline_batch_reference
+        )
+        monkeypatch.setattr(
+            enumeration, "enumerate_design_space", enumerate_design_space_reference
+        )
+        monkeypatch.setattr(
+            DataflowEvaluator,
+            "fingerprint",
+            lambda self, df, hint=None: fingerprint_reference(
+                self._ctx_signature, df, hint
+            ),
+        )
         session = ExplorationSession(phase_cache=False)
         ref_ev = session.evaluator(wl, hw)
         assert ref_ev.phase_cache is None

@@ -6,6 +6,11 @@ pin down the micro-simulator's own semantics on hand-computable cases.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,3 +139,16 @@ class TestSpmmMicro:
                 GemmTiling(1, 1, 1),
                 hw,
             )
+
+
+def test_import_repro_leaves_validator_unloaded():
+    """The validator is off the production path: importing the library
+    must not load it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, repro; print('repro.engine.cycle_model' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -647,6 +647,22 @@ class TestStatusSidecarDegradation:
             "bool-values": {"ok": 2},
         }
 
+    def test_load_counters_keeps_retired_counter_keys(self, tmp_path):
+        """Sidecars written when the session still reported the validator's
+        grid counters load unchanged."""
+        path = tmp_path / "stats.json"
+        snap = {
+            "phase_hits": 5,
+            "tilestats_evictions": 0,
+            "dense_grid_builds": 0,
+            "streamed_chunk_passes": 1,
+        }
+        path.write_text(
+            json.dumps({"spec_fingerprint": "abc", "units": {"u": snap}}),
+            encoding="utf-8",
+        )
+        assert CampaignCheckpoint.load_counters(path)["units"] == {"u": snap}
+
 
 # ----------------------------------------------------------------------
 # CLI verbs

@@ -1,14 +1,13 @@
-"""Equivalence suite: chunk-streamed engines vs the dense-grid engines.
+"""Validator-vs-oracle suite, part 2: block boundaries and the byte budget.
 
-The memory-bounded path (``step_grid_chunks`` slabs + streamed SpMM/GEMM
-micro-simulations) must produce *identical* ``CycleReport``\\ s to the
-dense vectorized engines — cycles, steps, traffic dictionaries, and fill,
-exactly — across random CSR graphs (including hub rows and zero-degree
-rows), every loop order, and chunk sizes of 1, a prime, and
-larger-than-total.  Also covers the ``TileStats`` byte-budget LRU
-(eviction accounting, the ``grid_nbytes`` predictor, counter
-monotonicity) and the dispatch rules (``REPRO_STREAM_ENGINE=1`` and
-budget-exceeded both select the streamed path without changing results).
+The validator streams the loop nest in blocks (``step_grid_chunks`` slabs,
+neighbor-step bands, flat GEMM step ranges); it must produce *identical*
+``CycleReport``\\ s to the interpreted oracles in ``tests/oracles/`` —
+cycles, steps, traffic dictionaries, and fill, exactly — across random
+CSR graphs (including hub rows and zero-degree rows), every loop order,
+tiny byte budgets, and chunk sizes of 1, a prime, and larger-than-total.
+Also covers the ``TileStats`` byte-budget LRU (eviction accounting,
+honest overshoot, counter monotonicity).
 """
 
 from __future__ import annotations
@@ -18,20 +17,24 @@ import itertools
 import numpy as np
 import pytest
 
+import repro.engine.cycle_model as cycle_model
 from repro.arch.config import AcceleratorConfig
 from repro.core.taxonomy import Annot, Dim, IntraDataflow, Phase
 from repro.engine.cycle_model import (
-    _cycle_accurate_gemm_streamed,
-    _cycle_accurate_gemm_vectorized,
-    _cycle_accurate_spmm_streamed,
-    _cycle_accurate_spmm_vectorized,
+    _gemm_blocks,
     cycle_accurate_spmm,
+    step_grid_chunks,
 )
 from repro.engine.gemm import GemmSpec, GemmTiling
 from repro.engine.spmm import SpmmSpec, SpmmTiling
 from repro.engine.tilestats import TileStats
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import erdos_renyi_graph, hub_thread_graph
+
+from oracles.cycle_model import (
+    cycle_accurate_gemm_reference,
+    cycle_accurate_spmm_reference,
+)
 
 SPMM_ORDERS = list(itertools.permutations((Dim.V, Dim.F, Dim.N)))
 GEMM_ORDERS = list(itertools.permutations((Dim.V, Dim.F, Dim.G)))
@@ -55,9 +58,9 @@ def _report_tuple(rep):
     )
 
 
-def _assert_identical(dense, streamed, context):
-    assert _report_tuple(dense) == _report_tuple(streamed), (
-        f"{context}\n dense={dense}\n streamed={streamed}"
+def _assert_identical(ref, streamed, context):
+    assert _report_tuple(ref) == _report_tuple(streamed), (
+        f"{context}\n ref={ref}\n streamed={streamed}"
     )
 
 
@@ -83,37 +86,54 @@ def _random_graph(rng: np.random.Generator) -> CSRGraph:
     return CSRGraph(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), n)
 
 
+def _dense_populations(g: CSRGraph, t_v: int, t_n: int):
+    """Per-(vtile, nstep) populations by direct per-vertex iteration."""
+    deg = g.degrees
+    s = -(-deg // t_n)
+    n_vtiles = -(-g.num_vertices // t_v) if g.num_vertices else 0
+    tile_steps = np.zeros(n_vtiles, dtype=np.int64)
+    for v in range(g.num_vertices):
+        tile_steps[v // t_v] = max(tile_steps[v // t_v], s[v])
+    width = int(tile_steps.max()) if n_vtiles else 0
+    active = np.zeros((n_vtiles, width), dtype=np.int64)
+    edges = np.zeros((n_vtiles, width), dtype=np.int64)
+    completing = np.zeros((n_vtiles, width), dtype=np.int64)
+    for v in range(g.num_vertices):
+        for ni in range(int(s[v])):
+            active[v // t_v, ni] += 1
+            edges[v // t_v, ni] += min(int(deg[v]) - ni * t_n, t_n)
+        if s[v]:
+            completing[v // t_v, s[v] - 1] += 1
+    return active, edges, completing, tile_steps
+
+
 class TestStepGridChunks:
     @pytest.mark.parametrize("seed", range(6))
     def test_chunks_reassemble_dense_grids(self, seed):
-        """Concatenated slabs must equal the dense grids cell for cell,
-        for chunk sizes 1, a prime, and larger than the vtile count."""
+        """Concatenated slabs must equal the whole-graph populations cell
+        for cell, for chunk sizes 1, a prime, and larger than the vtile
+        count."""
         rng = np.random.default_rng(700 + seed)
         g = _random_graph(rng)
         stats = TileStats(g)
         t_v = int(rng.integers(1, 8))
         t_n = int(rng.integers(1, 5))
-        dense = stats.step_grids(t_v, t_n)
-        n_vtiles = int(dense.tile_steps.size)
+        active, edges, completing, tile_steps = _dense_populations(g, t_v, t_n)
+        n_vtiles = int(tile_steps.size)
         for chunk_rows in (1, 7, n_vtiles + 13):
             rows_seen = 0
-            for chunk in stats.step_grid_chunks(t_v, t_n, chunk_rows):
-                lo, hi = chunk.row_lo, chunk.row_hi
-                assert lo == rows_seen and hi - lo <= chunk_rows
-                grids = chunk.grids
-                width = grids.max_nsteps
+            for grids in step_grid_chunks(stats, t_v, t_n, chunk_rows):
+                lo, hi = rows_seen, rows_seen + grids.tile_steps.size
+                assert 0 < hi - lo <= chunk_rows
+                width = grids.active.shape[1]
+                assert np.array_equal(grids.active, active[lo:hi, :width])
+                assert np.array_equal(grids.edges, edges[lo:hi, :width])
                 assert np.array_equal(
-                    grids.active, dense.active[lo:hi, :width]
+                    grids.completing, completing[lo:hi, :width]
                 )
-                assert np.array_equal(grids.edges, dense.edges[lo:hi, :width])
-                assert np.array_equal(
-                    grids.completing, dense.completing[lo:hi, :width]
-                )
-                assert np.array_equal(
-                    grids.tile_steps, dense.tile_steps[lo:hi]
-                )
+                assert np.array_equal(grids.tile_steps, tile_steps[lo:hi])
                 # Nothing beyond the slab's own max is ever populated.
-                assert not dense.active[lo:hi, width:].any()
+                assert not active[lo:hi, width:].any()
                 rows_seen = hi
             assert rows_seen == n_vtiles
 
@@ -121,13 +141,12 @@ class TestStepGridChunks:
         rng = np.random.default_rng(7)
         g = erdos_renyi_graph(rng, 30, 120)
         stats = TileStats(g)
-        list(stats.step_grid_chunks(4, 2, 3))
+        list(step_grid_chunks(stats, 4, 2, 3))
         before = stats.nbytes()
-        passes_before = stats.streamed_chunk_passes
-        list(stats.step_grid_chunks(4, 2, 3))
+        misses = stats.misses
+        list(step_grid_chunks(stats, 4, 2, 3))
         assert stats.nbytes() == before  # only the O(V) helpers are held
-        assert stats.streamed_chunk_passes == passes_before + 1
-        assert stats.dense_grid_builds == 0
+        assert stats.misses == misses  # ... and they are reused
 
 
 class TestSpmmStreamedEquivalence:
@@ -156,14 +175,12 @@ class TestSpmmStreamedEquivalence:
                 order,
                 _annot(order, {Dim.V: tv, Dim.F: tf, Dim.N: tn}),
             )
-            dense = _cycle_accurate_spmm_vectorized(
-                spec, intra, tiles, hw, TileStats(g)
-            )
-            streamed = _cycle_accurate_spmm_streamed(
-                spec, intra, tiles, hw, TileStats(g)
+            ref = cycle_accurate_spmm_reference(spec, intra, tiles, hw)
+            streamed = cycle_accurate_spmm(
+                spec, intra, tiles, hw, stats=TileStats(g)
             )
             _assert_identical(
-                dense, streamed,
+                ref, streamed,
                 f"g=V{g.num_vertices}/E{g.num_edges} {intra} {tiles} "
                 f"bw=({bwd},{bwr})",
             )
@@ -171,9 +188,11 @@ class TestSpmmStreamedEquivalence:
     @pytest.mark.parametrize(
         "order", SPMM_ORDERS, ids=lambda o: "".join(d.value for d in o)
     )
-    def test_tiny_budget_forces_single_row_chunks(self, order):
-        """A floor-sized budget shrinks the slabs/bands to their minimum
-        without changing a single number."""
+    def test_tiny_budget_forces_single_row_chunks(self, order, monkeypatch):
+        """One-row slabs and one-column bands (the block size floors at
+        64 KiB for real budgets, so it is shrunk here directly) plus a
+        constantly evicting stats cache change no number."""
+        monkeypatch.setattr(cycle_model, "_spmm_block_bytes", lambda stats: 1)
         rng = np.random.default_rng(41)
         g = hub_thread_graph(rng, 40, 220, num_hubs=2)
         spec = SpmmSpec(graph=g, feat=6)
@@ -183,14 +202,10 @@ class TestSpmmStreamedEquivalence:
             Phase.AGGREGATION, order,
             _annot(order, {Dim.V: 3, Dim.F: 2, Dim.N: 2}),
         )
-        dense = _cycle_accurate_spmm_vectorized(
-            spec, intra, tiles, hw, TileStats(g)
-        )
+        ref = cycle_accurate_spmm_reference(spec, intra, tiles, hw)
         tight = TileStats(g, byte_budget=1)
-        streamed = _cycle_accurate_spmm_streamed(spec, intra, tiles, hw, tight)
-        _assert_identical(dense, streamed, f"{intra} tight budget")
-        assert tight.dense_grid_builds == 0
-        assert tight.streamed_chunk_passes > 0 or g.num_edges == 0
+        streamed = cycle_accurate_spmm(spec, intra, tiles, hw, stats=tight)
+        _assert_identical(ref, streamed, f"{intra} tight budget")
 
     def test_zero_degree_rows_exact(self):
         hw = AcceleratorConfig(num_pes=64, dist_bw=7, red_bw=12)
@@ -203,13 +218,11 @@ class TestSpmmStreamedEquivalence:
                     Phase.AGGREGATION, order,
                     _annot(order, {Dim.V: tv, Dim.F: tf, Dim.N: tn}),
                 )
-                dense = _cycle_accurate_spmm_vectorized(
-                    spec, intra, tiles, hw, TileStats(g)
+                ref = cycle_accurate_spmm_reference(spec, intra, tiles, hw)
+                streamed = cycle_accurate_spmm(
+                    spec, intra, tiles, hw, stats=TileStats(g)
                 )
-                streamed = _cycle_accurate_spmm_streamed(
-                    spec, intra, tiles, hw, TileStats(g)
-                )
-                _assert_identical(dense, streamed, f"{intra} {tiles}")
+                _assert_identical(ref, streamed, f"{intra} {tiles}")
 
 
 class TestGemmStreamedEquivalence:
@@ -243,46 +256,39 @@ class TestGemmStreamedEquivalence:
                     order, {Dim.V: tiles.t_v, Dim.F: tiles.t_f, Dim.G: tiles.t_g}
                 ),
             )
-            dense = _cycle_accurate_gemm_vectorized(spec, intra, tiles, hw)
+            ref = cycle_accurate_gemm_reference(spec, intra, tiles, hw)
             for chunk in (1, 13, 1 << 20):
-                streamed = _cycle_accurate_gemm_streamed(
+                streamed = _gemm_blocks(
                     spec, intra, tiles, hw, chunk_steps=chunk
                 )
                 _assert_identical(
-                    dense, streamed,
+                    ref, streamed,
                     f"{spec.rows}x{spec.inner}x{spec.cols} {intra} {tiles} "
                     f"chunk={chunk}",
                 )
 
 
 class TestByteBudgetLRU:
-    def test_grid_nbytes_predicts_actual_footprint(self):
-        rng = np.random.default_rng(21)
-        g = hub_thread_graph(rng, 48, 300, num_hubs=2)
-        stats = TileStats(g)
-        for t_v, t_n in [(1, 1), (4, 2), (7, 3)]:
-            predicted = stats.grid_nbytes(t_v, t_n)
-            assert stats.step_grids(t_v, t_n).nbytes() == predicted
-
     def test_budget_evicts_lru_and_counts(self):
         rng = np.random.default_rng(22)
         g = erdos_renyi_graph(rng, 60, 400)
-        probe = TileStats(g)
-        one_grid = probe.step_grids(4, 1).nbytes()
-        # Room for roughly two dense grids: the third build must evict.
-        stats = TileStats(g, byte_budget=int(2.5 * one_grid))
-        for t_v in (4, 5, 6, 7):
-            stats.step_grids(t_v, 1)
+        one_entry = TileStats(g).per_v_steps(1).nbytes
+        # Room for roughly two per-vertex entries: the third must evict.
+        stats = TileStats(g, byte_budget=int(2.5 * one_entry))
+        for t_n in (1, 2, 3, 4):
+            stats.per_v_steps(t_n)
             assert stats.nbytes() <= stats.byte_budget
         assert stats.evictions > 0
         # Peak records the honest pre-eviction high-water mark: at most
         # the budget plus the entry whose admission triggered eviction.
-        assert stats.peak_nbytes <= stats.byte_budget + one_grid
-        assert stats.dense_grid_builds == 4
+        assert stats.peak_nbytes <= stats.byte_budget + one_entry
+        assert stats.misses == 4
         # An evicted entry is rebuilt on demand (miss, not an error).
-        builds = stats.dense_grid_builds
-        stats.step_grids(4, 1)
-        assert stats.dense_grid_builds == builds + 1
+        stats.per_v_steps(1)
+        assert stats.misses == 5
+        # Recently used entries survive: the last one admitted is a hit.
+        stats.per_v_steps(1)
+        assert stats.misses == 5
 
     def test_oversized_protected_entry_overshoots_honestly(self):
         """A single entry larger than the whole budget is kept (evicting
@@ -291,9 +297,10 @@ class TestByteBudgetLRU:
         rng = np.random.default_rng(23)
         g = erdos_renyi_graph(rng, 40, 200)
         stats = TileStats(g, byte_budget=8)
-        grids = stats.step_grids(3, 1)
-        assert grids.nbytes() > stats.byte_budget
-        assert stats.peak_nbytes >= grids.nbytes()
+        tile_steps = stats.vtile_steps(3, 1)
+        assert tile_steps.nbytes > stats.byte_budget
+        assert stats.nbytes() == tile_steps.nbytes  # per_v_steps evicted
+        assert stats.peak_nbytes >= tile_steps.nbytes
 
     def test_unbudgeted_cache_never_evicts(self, monkeypatch):
         monkeypatch.delenv("REPRO_TILESTATS_BUDGET", raising=False)
@@ -301,7 +308,7 @@ class TestByteBudgetLRU:
         g = erdos_renyi_graph(rng, 30, 150)
         stats = TileStats(g)
         for t_v in range(1, 8):
-            stats.step_grids(t_v, 2)
+            stats.vtile_steps(t_v, 2)
         assert stats.evictions == 0
         assert stats.peak_nbytes == stats.nbytes()
 
@@ -318,50 +325,6 @@ class TestByteBudgetLRU:
 
 
 class TestStreamedDispatch:
-    def test_env_flag_forces_streamed(self, monkeypatch):
-        # Dispatch under test: neutralize any outer engine-mode flags.
-        monkeypatch.delenv("REPRO_REFERENCE_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_STREAM_ENGINE", raising=False)
-        rng = np.random.default_rng(31)
-        g = hub_thread_graph(rng, 30, 120, num_hubs=1)
-        spec = SpmmSpec(graph=g, feat=8)
-        intra = IntraDataflow.parse("VsFtNt", Phase.AGGREGATION)
-        tiles = SpmmTiling(4, 1, 2)
-        hw = AcceleratorConfig(num_pes=128, dist_bw=16, red_bw=16)
-        dense_stats = TileStats(g)
-        dense = cycle_accurate_spmm(spec, intra, tiles, hw, stats=dense_stats)
-        assert dense_stats.dense_grid_builds == 1
-        monkeypatch.setenv("REPRO_STREAM_ENGINE", "1")
-        stream_stats = TileStats(g)
-        streamed = cycle_accurate_spmm(
-            spec, intra, tiles, hw, stats=stream_stats
-        )
-        _assert_identical(dense, streamed, "forced streaming")
-        assert stream_stats.dense_grid_builds == 0
-        assert stream_stats.streamed_chunk_passes > 0
-
-    def test_budget_overflow_selects_streamed(self, monkeypatch):
-        """Without the env flag, a dense grid bigger than the budget picks
-        the streamed engine automatically."""
-        monkeypatch.delenv("REPRO_REFERENCE_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_STREAM_ENGINE", raising=False)
-        rng = np.random.default_rng(32)
-        g = hub_thread_graph(rng, 40, 200, num_hubs=2)
-        spec = SpmmSpec(graph=g, feat=8)
-        intra = IntraDataflow.parse("VsFtNt", Phase.AGGREGATION)
-        tiles = SpmmTiling(4, 1, 1)
-        hw = AcceleratorConfig(num_pes=128, dist_bw=16, red_bw=16)
-        dense = cycle_accurate_spmm(spec, intra, tiles, hw, stats=TileStats(g))
-        tight = TileStats(g, byte_budget=64)
-        assert tight.grid_nbytes(4, 1) > tight.byte_budget
-        streamed = cycle_accurate_spmm(spec, intra, tiles, hw, stats=tight)
-        _assert_identical(dense, streamed, "budget overflow")
-        assert tight.dense_grid_builds == 0
-        # A budget comfortably above the dense grid keeps the dense path.
-        roomy = TileStats(g, byte_budget=1 << 30)
-        cycle_accurate_spmm(spec, intra, tiles, hw, stats=roomy)
-        assert roomy.dense_grid_builds == 1
-
     def test_per_v_steps_integer_ceil(self):
         """The hottest stats kernel must match ceil-division exactly for
         every t_n, including hub degrees."""

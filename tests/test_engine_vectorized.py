@@ -1,15 +1,17 @@
-"""Equivalence suite: vectorized engines vs the interpreted reference.
+"""Validator-vs-oracle suite, part 1: shapes, orders and bandwidths.
 
-The vectorized micro-simulator (numpy index grids + ``TileStats`` sparsity
-cache + cumulative-max pipeline) must produce *identical*
-:class:`~repro.engine.cycle_model.CycleReport`\\ s to the original
-interpreted loops — cycles, steps, traffic dictionaries, load stalls, and
-fill, exactly, across random CSR graphs, tilings, loop orders, bandwidth
-points (including non-powers-of-two), and the zero-degree-row edge case.
+The cycle-accurate validator (:mod:`repro.engine.cycle_model`: numpy
+blocks over the ``TileStats`` sparsity cache + the max-plus pipeline scan)
+must produce *identical* :class:`~repro.engine.cycle_model.CycleReport`\\ s
+to the interpreted loop walks in ``tests/oracles/`` — cycles, steps,
+traffic dictionaries, load stalls, and fill, exactly, across random CSR
+graphs, tilings, loop orders, bandwidth points (including
+non-powers-of-two), and the zero-degree-row edge case.  Part 2
+(``tests/test_engine_streamed.py``) fuzzes block boundaries.
 
-Also covers the ``REPRO_REFERENCE_ENGINE`` escape hatch, the
-``TileStats`` hit counters (the second candidate of a session must reuse
-the first one's sparsity scans), and the registry's cross-context sharing.
+Also covers the ``TileStats`` hit counters (the second candidate of a
+session must reuse the first one's sparsity scans) and the registry's
+cross-context sharing.
 """
 
 from __future__ import annotations
@@ -22,13 +24,10 @@ import pytest
 from repro.arch.config import AcceleratorConfig
 from repro.core.taxonomy import Annot, Dim, IntraDataflow, Phase
 from repro.engine.cycle_model import (
-    _cycle_accurate_gemm_vectorized,
-    _cycle_accurate_spmm_vectorized,
+    _PipelineScan,
     cycle_accurate_gemm,
-    cycle_accurate_gemm_reference,
     cycle_accurate_spmm,
-    cycle_accurate_spmm_reference,
-    use_reference_engine,
+    step_grid_chunks,
 )
 from repro.engine.gemm import GemmSpec, GemmTiling
 from repro.engine.spmm import SpmmSpec, SpmmTiling, simulate_spmm
@@ -36,9 +35,15 @@ from repro.engine.tilestats import TileStats, TileStatsRegistry, graph_digest
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import erdos_renyi_graph, hub_thread_graph
 
+from oracles.cycle_model import (
+    cycle_accurate_gemm_reference,
+    cycle_accurate_spmm_reference,
+    pipeline_reference,
+)
+
 SPMM_ORDERS = list(itertools.permutations((Dim.V, Dim.F, Dim.N)))
 GEMM_ORDERS = list(itertools.permutations((Dim.V, Dim.F, Dim.G)))
-# Deliberately includes non-power-of-two bandwidths: the vectorized
+# Deliberately includes non-power-of-two bandwidths: the blocked
 # pipeline's cumulative-max recurrence must agree even when per-step
 # divisions are inexact in floating point.
 BWS = [(16, 16), (3, 5), (7, 12), (2, 2), (64, 64)]
@@ -119,7 +124,7 @@ class TestSpmmEquivalence:
                 _annot(order, {Dim.V: tv, Dim.F: tf, Dim.N: tn}),
             )
             ref = cycle_accurate_spmm_reference(spec, intra, tiles, hw)
-            vec = _cycle_accurate_spmm_vectorized(spec, intra, tiles, hw, None)
+            vec = cycle_accurate_spmm(spec, intra, tiles, hw)
             _assert_identical(ref, vec, f"g=V{g.num_vertices}/E{g.num_edges} "
                                         f"{intra} {tiles} bw=({bwd},{bwr})")
 
@@ -137,7 +142,7 @@ class TestSpmmEquivalence:
                 _annot(order, {Dim.V: tv, Dim.F: tf, Dim.N: tn}),
             )
             ref = cycle_accurate_spmm_reference(spec, intra, tiles, hw)
-            vec = _cycle_accurate_spmm_vectorized(spec, intra, tiles, hw, None)
+            vec = cycle_accurate_spmm(spec, intra, tiles, hw)
             _assert_identical(ref, vec, f"{intra} {tiles}")
             assert vec.gb_writes["intermediate"] >= 3 * 4  # zero rows flushed
 
@@ -154,8 +159,8 @@ class TestSpmmEquivalence:
                 Phase.AGGREGATION, (Dim.V, Dim.N, Dim.F),
                 _annot((Dim.V, Dim.N, Dim.F), {Dim.V: tv, Dim.F: tf, Dim.N: tn}),
             )
-            cold = _cycle_accurate_spmm_vectorized(spec, intra, tiles, hw, None)
-            warm = _cycle_accurate_spmm_vectorized(spec, intra, tiles, hw, stats)
+            cold = cycle_accurate_spmm(spec, intra, tiles, hw)
+            warm = cycle_accurate_spmm(spec, intra, tiles, hw, stats=stats)
             _assert_identical(cold, warm, f"{tiles}")
         assert stats.hits > 0  # repeated tiling answered from the cache
 
@@ -170,9 +175,8 @@ class TestSpmmEquivalence:
         hw = AcceleratorConfig(num_pes=8)
         for other in (g2, g3):
             with pytest.raises(ValueError, match="different graph"):
-                # Called directly: the reference engine has no stats check.
-                _cycle_accurate_spmm_vectorized(
-                    spec, intra, SpmmTiling(1, 1, 1), hw, TileStats(other)
+                cycle_accurate_spmm(
+                    spec, intra, SpmmTiling(1, 1, 1), hw, stats=TileStats(other)
                 )
             with pytest.raises(ValueError, match="different graph"):
                 simulate_spmm(
@@ -211,60 +215,11 @@ class TestGemmEquivalence:
                 _annot(order, {Dim.V: tv, Dim.F: tf, Dim.G: tg}),
             )
             ref = cycle_accurate_gemm_reference(spec, intra, tiles, hw)
-            vec = _cycle_accurate_gemm_vectorized(spec, intra, tiles, hw)
+            vec = cycle_accurate_gemm(spec, intra, tiles, hw)
             _assert_identical(
                 ref, vec, f"{spec.rows}x{spec.inner}x{spec.cols} {intra} "
                           f"{tiles} bw=({bwd},{bwr})"
             )
-
-    def test_geometry_cache_shared_across_hw_points(self):
-        """Two hardware points over the same nest reuse one geometry."""
-        from repro.engine.cycle_model import _gemm_geometry
-
-        spec = GemmSpec(rows=13, inner=9, cols=7)
-        order = (Dim.V, Dim.G, Dim.F)
-        intra = IntraDataflow(
-            Phase.COMBINATION, order, (Annot.SPATIAL,) * 2 + (Annot.TEMPORAL,)
-        )
-        tiles = GemmTiling(4, 1, 2)
-        _gemm_geometry.cache_clear()
-        for bw in (4, 8, 16):
-            hw = AcceleratorConfig(num_pes=64, dist_bw=bw, red_bw=bw)
-            _cycle_accurate_gemm_vectorized(spec, intra, tiles, hw)
-        info = _gemm_geometry.cache_info()
-        assert info.misses == 1 and info.hits == 2
-
-
-class TestEngineDispatch:
-    def test_env_var_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "1")
-        assert use_reference_engine()
-        monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "0")
-        assert not use_reference_engine()
-        monkeypatch.delenv("REPRO_REFERENCE_ENGINE")
-        assert not use_reference_engine()
-
-    def test_both_paths_reachable_and_equal(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        g = erdos_renyi_graph(rng, 20, 80)
-        spec = SpmmSpec(graph=g, feat=6)
-        intra = IntraDataflow.parse("VsFtNt", Phase.AGGREGATION)
-        tiles = SpmmTiling(4, 1, 1)
-        hw = AcceleratorConfig(num_pes=64, dist_bw=16, red_bw=16)
-        monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "1")
-        ref = cycle_accurate_spmm(spec, intra, tiles, hw)
-        monkeypatch.delenv("REPRO_REFERENCE_ENGINE")
-        vec = cycle_accurate_spmm(spec, intra, tiles, hw)
-        _assert_identical(ref, vec, "dispatch")
-
-        gspec = GemmSpec(rows=9, inner=5, cols=4)
-        gintra = IntraDataflow.parse("VsGsFt", Phase.COMBINATION)
-        gtiles = GemmTiling(3, 1, 2)
-        monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "true")
-        gref = cycle_accurate_gemm(gspec, gintra, gtiles, hw)
-        monkeypatch.delenv("REPRO_REFERENCE_ENGINE")
-        gvec = cycle_accurate_gemm(gspec, gintra, gtiles, hw)
-        _assert_identical(gref, gvec, "gemm dispatch")
 
 
 class TestTileStatsCache:
@@ -294,7 +249,7 @@ class TestTileStatsCache:
         assert stats.accum_units(2) == int(s.sum())
         vt = stats.vtile_steps(5, 2)
         assert vt.size == -(-g.num_vertices // 5)
-        grids = stats.step_grids(5, 2)
+        (grids,) = step_grid_chunks(stats, 5, 2, vt.size)  # the one-chunk case
         assert np.array_equal(grids.tile_steps, vt)
         # Per-tile populations must sum back to global facts.
         assert int(grids.edges.sum()) == g.num_edges
@@ -390,24 +345,27 @@ class TestPoolContextShipping:
 
 class TestVectorizedPipelineEdgeCases:
     def test_empty_sequences(self):
-        from repro.engine.cycle_model import _pipeline, _pipeline_arrays
-
         hw = AcceleratorConfig(num_pes=8, dist_bw=3, red_bw=5)
-        assert _pipeline([], [], [], hw) == (0, 0)
-        z = np.zeros(0)
-        assert _pipeline_arrays(z, z, z, hw) == (0, 0)
+        assert pipeline_reference([], [], [], hw) == (0, 0)
+        scan = _PipelineScan(hw)
+        scan.feed(np.zeros(0), np.zeros(0), np.zeros(0))
+        assert scan.finish() == (0, 0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_streams_exact(self, seed):
-        from repro.engine.cycle_model import _pipeline, _pipeline_arrays
-
+        """Any blocking of the same per-step values matches the scalar
+        recurrence, including one-step blocks and one whole block."""
         rng = np.random.default_rng(4000 + seed)
         n = int(rng.integers(1, 200))
-        stream = rng.integers(0, 40, size=n).astype(np.float64)
-        drain = rng.integers(0, 40, size=n).astype(np.float64)
+        stream = rng.integers(0, 40, size=n).astype(np.int64)
+        drain = rng.integers(0, 40, size=n).astype(np.int64)
         load = rng.integers(0, 4, size=n).astype(np.int64)
         bwd, bwr = BWS[int(rng.integers(0, len(BWS)))]
         hw = AcceleratorConfig(num_pes=64, dist_bw=bwd, red_bw=bwr)
-        ref = _pipeline(list(stream), list(drain), list(load), hw)
-        vec = _pipeline_arrays(stream, drain, load, hw)
-        assert ref == vec
+        ref = pipeline_reference(list(stream), list(drain), list(load), hw)
+        for block in (1, int(rng.integers(2, 17)), n):
+            scan = _PipelineScan(hw)
+            for lo in range(0, n, block):
+                hi = lo + block
+                scan.feed(stream[lo:hi], drain[lo:hi], load[lo:hi])
+            assert scan.finish() == ref, f"block={block}"

@@ -4,7 +4,7 @@ The vectorized generation layer (candidate-grid masks + lazy Dataflow
 construction + the fingerprint factory + the tile-geometry memo) must be
 *observationally identical* to the reference implementations it replaced:
 same candidate sequence, byte-identical fingerprints, same tile choices.
-``REPRO_REFERENCE_ENGINE=1`` must force the legacy paths end to end.
+The legacy paths live in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.core.enumeration as enumeration
 from repro.arch import AcceleratorConfig
 from repro.core.enumeration import (
     GridBlock,
@@ -23,11 +22,9 @@ from repro.core.enumeration import (
     pair_mask,
 )
 from repro.core.evaluator import (
-    DataflowEvaluator,
     ExplicitTiles,
     FingerprintFactory,
     _context_signature,
-    _fingerprint,
 )
 from repro.core.legality import sp_optimized_ok, validate_dataflow
 from repro.core.taxonomy import (
@@ -44,6 +41,11 @@ from repro.engine.gemm import GemmTiling
 from repro.engine.spmm import SpmmTiling
 from repro.graphs.generators import molecular_graph
 
+from oracles.design_space import (
+    enumerate_design_space_reference,
+    fingerprint_reference,
+)
+
 
 @pytest.fixture(scope="module")
 def wl() -> GNNWorkload:
@@ -53,7 +55,7 @@ def wl() -> GNNWorkload:
 
 def _legacy_stream(include_sp_optimized: bool):
     return list(
-        enumeration._enumerate_design_space_reference(
+        enumerate_design_space_reference(
             include_sp_optimized=include_sp_optimized
         )
     )
@@ -76,20 +78,6 @@ class TestGridSequenceEquivalence:
             len(list(enumerate_design_space(include_sp_optimized=True)))
             == counts["total"] + counts["SP-Optimized"]
         )
-
-    def test_reference_env_flag_bypasses_grid(self, monkeypatch):
-        # With the flag set, enumeration must not touch the grid machinery.
-        def boom(**kwargs):  # pragma: no cover - trap
-            raise AssertionError("grid path used under REPRO_REFERENCE_ENGINE")
-
-        monkeypatch.setattr(enumeration, "candidate_grid", boom)
-        monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "1")
-        flagged = list(enumerate_design_space())
-        monkeypatch.delenv("REPRO_REFERENCE_ENGINE")
-        with pytest.raises(AssertionError):
-            list(enumerate_design_space())
-        monkeypatch.undo()
-        assert flagged == list(enumerate_design_space())
 
     def test_blocks_lazy_and_cached(self):
         blocks = candidate_grid()
@@ -175,21 +163,9 @@ class TestFingerprintEquivalence:
         specs = self._specs()
         for k, df in enumerate(enumerate_design_space(include_sp_optimized=True)):
             spec = specs[k % len(specs)]
-            assert factory.fingerprint(df, spec) == _fingerprint(ctx, df, spec)
-
-    def test_evaluator_flag_forces_reference(self, wl, monkeypatch):
-        hw = AcceleratorConfig(num_pes=64)
-        ev = DataflowEvaluator(wl, hw)
-        df = next(enumerate_design_space())
-        fast = ev.fingerprint(df)
-        monkeypatch.setenv("REPRO_REFERENCE_ENGINE", "1")
-
-        def boom(self, df, spec):  # pragma: no cover - trap
-            raise AssertionError("factory used under REPRO_REFERENCE_ENGINE")
-
-        monkeypatch.setattr(FingerprintFactory, "fingerprint", boom)
-        assert ev.fingerprint(df) == fast
-        ev.close()
+            assert factory.fingerprint(df, spec) == fingerprint_reference(
+                ctx, df, spec
+            )
 
 
 class TestTileMemoEquivalence:

@@ -72,14 +72,6 @@ class TestExhaustiveEquivalenceMutag:
 @pytest.mark.slow
 class TestExhaustiveEquivalenceCiteseer:
     def test_matches_exhaustive_optimum(self):
-        from repro.engine.cycle_model import use_reference_engine
-
-        if use_reference_engine():
-            # The equivalence claim is about search quality, not the
-            # engines — both sides share whatever engine is selected, and
-            # the reference-path CI rerun would spend ~2 minutes here
-            # re-proving the MUTAG result at CiteSeer scale.
-            pytest.skip("engine-independent; skipped under the reference flag")
         wl = _workload("citeseer")
         hw = AcceleratorConfig(num_pes=512)
         with DataflowEvaluator(wl, hw) as ev:

@@ -18,7 +18,6 @@ from repro.core.pipeline import (
     PipelineReport,
     bounded_pipeline,
     bounded_pipeline_batch,
-    bounded_pipeline_reference,
 )
 from repro.core.pipeline_sim import simulate_pipeline
 
@@ -48,7 +47,7 @@ class TestBatchEqualsScalar:
                 conses.append(random_series(rng, n))
             batch = bounded_pipeline_batch(prods, conses, depth=depth)
             for b in range(nb):
-                ref = bounded_pipeline_reference(
+                ref = bounded_pipeline(
                     prods[b], conses[b], depth=depth
                 )
                 # Frozen dataclass equality covers every field: totals,
@@ -66,7 +65,7 @@ class TestBatchEqualsScalar:
             conses = [random_series(rng, len(p)) for p in prods]
             batch = bounded_pipeline_batch(prods, conses, depth=depth)
             for b in range(nb):
-                assert batch[b] == bounded_pipeline_reference(
+                assert batch[b] == bounded_pipeline(
                     prods[b], conses[b], depth=depth
                 )
 
@@ -79,7 +78,7 @@ class TestBatchEqualsScalar:
         conses = [rng.random(len(p)) for p in prods]
         batch = bounded_pipeline_batch(prods, conses, depth=2)
         for b in range(len(prods)):
-            assert batch[b] == bounded_pipeline_reference(
+            assert batch[b] == bounded_pipeline(
                 prods[b], conses[b], depth=2
             )
 
@@ -97,7 +96,7 @@ class TestBatchEqualsScalar:
         p.setflags(write=False)
         c.setflags(write=False)
         batch = bounded_pipeline_batch([p] * 10, [c] * 10, depth=2)
-        ref = bounded_pipeline_reference(p, c, depth=2)
+        ref = bounded_pipeline(p, c, depth=2)
         assert all(report == ref for report in batch)
 
     def test_empty_batch_and_empty_lanes(self):
@@ -140,4 +139,4 @@ class TestAgainstDiscreteEventOracle:
         report = bounded_pipeline_batch([p], [c], depth=2)[0]
         trace = simulate_pipeline(p, c, depth=2)
         assert report.total_cycles == int(np.ceil(trace.total_time))
-        assert report == bounded_pipeline_reference(p, c, depth=2)
+        assert report == bounded_pipeline(p, c, depth=2)
