@@ -1,47 +1,20 @@
-"""Campaign scheduling benchmarks: pool sharing and unit overlap.
+"""Campaign pool-sharing benchmark.
 
-Two measurements around the campaign layer, both on a Table V sweep over
->= 3 datasets:
-
-1. **pool sharing** (the pytest test): the first-generation evaluator
-   pinned one ``(workload, hw)`` pair per ``multiprocessing`` pool, so an
-   N-dataset campaign paid N pool spawns.  The session's task-keyed pool
-   is spawned once and shared — records stay byte-identical, wall-clock
-   drops (asserted only on hosts with enough CPUs to show it);
-2. **unit overlap** (the ``main()`` trajectory mode): sequential
-   unit-after-unit execution vs the streaming
-   :class:`~repro.campaign.scheduler.CampaignScheduler`, which interleaves
-   every unit's candidate batches over the shared pool.  Reports must be
-   byte-identical (``CampaignReport.canonical_json``); the wall-clock
-   floor is auto-skipped on <4-CPU hosts exactly like
-   ``bench_parallel_sweep.py``.
-
-Run the trajectory mode from the repo root — it appends one entry to
-``BENCH_campaign.json`` so successive PRs accumulate a comparable
-history::
-
-    PYTHONPATH=src python benchmarks/bench_campaign.py --check
+The first-generation evaluator pinned one ``(workload, hw)`` pair per
+``multiprocessing`` pool, so an N-dataset campaign paid N pool spawns.
+The session's task-keyed pool is spawned once and shared: records stay
+byte-identical, and wall-clock drops (asserted only on hosts with enough
+CPUs to show it).  Runs as part of the pytest suite.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import sys
 import time
-from datetime import datetime, timezone
-from pathlib import Path
 
 from repro.analysis.export import record_to_json
 from repro.analysis.report import format_table
-from repro.campaign import (
-    CampaignSpec,
-    CandidateSource,
-    ExplorationSession,
-    HardwarePoint,
-    run_campaign,
-)
+from repro.campaign import ExplorationSession
 from repro.core.configs import PAPER_CONFIGS
 from repro.core.evaluator import DataflowEvaluator
 
@@ -50,10 +23,6 @@ from conftest import CONFIGS
 BENCH_DATASETS = ["mutag", "proteins", "imdb-bin"]
 WORKERS = 2
 MIN_CPUS_FOR_ASSERT = 4
-
-DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_campaign.json"
-OVERLAP_DATASETS = ["mutag", "proteins", "imdb-bin", "collab"]
-OVERLAP_TARGET = 1.1
 
 
 def _candidates():
@@ -134,104 +103,3 @@ def test_shared_session_pool_beats_per_dataset_pools(
         f"expected the shared session pool to amortize "
         f"{len(BENCH_DATASETS) - 1} pool spawns, measured {speedup:.2f}x"
     )
-
-
-# ----------------------------------------------------------------------
-# Trajectory mode: sequential vs overlapped campaign execution
-# ----------------------------------------------------------------------
-
-def bench_overlap(*, workers: int = WORKERS) -> dict:
-    """Time a multi-dataset Table V campaign run sequentially and with the
-    streaming scheduler, proving the reports byte-identical."""
-    spec = CampaignSpec(
-        name="bench-overlap",
-        datasets=list(OVERLAP_DATASETS),
-        source=CandidateSource("table5"),
-        hardware=[HardwarePoint(num_pes=512)],
-    )
-
-    def timed(overlap: bool) -> tuple[float, str]:
-        start = time.perf_counter()
-        report = run_campaign(spec, workers=workers, overlap=overlap)
-        return time.perf_counter() - start, report.canonical_json()
-
-    sequential_s, sequential_report = timed(False)
-    overlapped_s, overlapped_report = timed(True)
-    assert overlapped_report == sequential_report, (
-        "overlapped campaign diverged from the sequential report"
-    )
-    return {
-        "datasets": list(OVERLAP_DATASETS),
-        "units": len(OVERLAP_DATASETS),
-        "workers": workers,
-        "sequential_s": round(sequential_s, 6),
-        "overlapped_s": round(overlapped_s, 6),
-        "speedup": (
-            round(sequential_s / overlapped_s, 2)
-            if overlapped_s
-            else float("inf")
-        ),
-        "reports_identical": True,
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(
-        description="sequential vs overlapped campaign wall-clock"
-    )
-    ap.add_argument("--out", type=Path, default=DEFAULT_OUT,
-                    help="trajectory JSON to append to (default: repo root)")
-    ap.add_argument("--check", action="store_true",
-                    help="fail unless reports are identical and (on >= "
-                         f"{MIN_CPUS_FOR_ASSERT}-CPU hosts) the overlap "
-                         f"speedup meets the {OVERLAP_TARGET}x floor")
-    ap.add_argument("--label", default=None,
-                    help="entry label (default: streaming-scheduler)")
-    ap.add_argument("--workers", type=int, default=WORKERS)
-    args = ap.parse_args(argv)
-
-    overlap = bench_overlap(workers=args.workers)
-    entry = {
-        "label": args.label or "streaming-scheduler",
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "host_cpus": os.cpu_count(),
-        "overlap": overlap,
-    }
-    trajectory: list = []
-    if args.out.exists():
-        trajectory = json.loads(args.out.read_text(encoding="utf-8"))
-    trajectory.append(entry)
-    args.out.write_text(
-        json.dumps(trajectory, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-    print(
-        f"campaign overlap ({overlap['units']} table5 units, "
-        f"{overlap['workers']} workers): sequential "
-        f"{overlap['sequential_s']:.3f}s -> overlapped "
-        f"{overlap['overlapped_s']:.3f}s ({overlap['speedup']:.2f}x), "
-        "reports byte-identical"
-    )
-    print(f"trajectory: {args.out} ({len(trajectory)} entries)")
-
-    if args.check:
-        cpus = os.cpu_count() or 1
-        if cpus < MIN_CPUS_FOR_ASSERT:
-            print(
-                f"(only {cpus} CPU(s) visible: {OVERLAP_TARGET}x speedup "
-                "floor skipped on this host)"
-            )
-            return 0
-        if overlap["speedup"] < OVERLAP_TARGET:
-            print(
-                f"FAIL: overlap speedup {overlap['speedup']}x < "
-                f"{OVERLAP_TARGET}x on {cpus} CPUs",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

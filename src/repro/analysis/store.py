@@ -43,7 +43,7 @@ the index, and :meth:`record_for` seeks to one line on demand.  The
 / ``index_used``) make the O(changed-records) claim testable.
 
 All mutating methods take an internal lock, so one store instance may be
-shared by the campaign scheduler's overlapping unit threads.
+shared by several threads (serving's query workers).
 """
 
 from __future__ import annotations

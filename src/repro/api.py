@@ -272,8 +272,6 @@ def run_campaign(
     checkpoint: "CampaignCheckpoint | str | Path | None" = None,
     resume: bool = True,
     session: Any | None = None,
-    overlap: bool = False,
-    max_inflight: int | None = None,
 ) -> CampaignReport:
     """Run (or resume) a declarative exploration campaign.
 
@@ -281,9 +279,7 @@ def run_campaign(
     spec-shaped mapping, or a path to a ``.json``/``.toml`` spec file.
     ``store`` and ``checkpoint`` accept live objects or paths (paths are
     opened with ``resume`` semantics and closed on return; objects stay
-    the caller's to close).  ``overlap=True`` interleaves independent
-    units over the shared ``workers`` pool with byte-identical
-    checkpoint/report.  Raises
+    the caller's to close).  Raises
     :class:`~repro.campaign.spec.CampaignSpecError` /
     :class:`~repro.campaign.runner.CampaignResumeError` — both
     :class:`~repro.errors.CampaignError` — on bad inputs.
@@ -309,8 +305,6 @@ def run_campaign(
             store=store,
             checkpoint=checkpoint,
             session=session,
-            overlap=overlap,
-            max_inflight=max_inflight,
         )
     finally:
         if owns_ckpt:

@@ -20,11 +20,10 @@ service, layered as ``spec -> session -> report``:
   session, and checkpoints each completed unit so a killed campaign
   restarts where it left off; results aggregate into a
   :class:`~repro.campaign.report.CampaignReport` (``report.py``).
-- :class:`~repro.campaign.scheduler.CampaignScheduler` (``scheduler.py``)
-  overlaps independent units over the session's single worker pool
-  (``run_campaign(..., overlap=True)``): units complete out of order,
-  while checkpoint lines and report rows stay byte-identical to the
-  sequential path.
+- :mod:`~repro.campaign.scheduler` (``scheduler.py``) runs the units
+  one at a time in grid order; only each unit's candidates fan out over
+  the session's worker pool, so checkpoint lines and report rows are
+  the same bytes for any worker count.
 
 The CLI front-end is ``repro campaign run|status|report --spec FILE``;
 ``repro sweep`` and ``repro search`` delegate to one-shot specs.
@@ -37,7 +36,6 @@ from .runner import (
     campaign_units,
     run_campaign,
 )
-from .scheduler import CampaignScheduler
 from .session import ExplorationSession
 from .spec import (
     CampaignSpec,
@@ -52,7 +50,6 @@ __all__ = [
     "UnitResult",
     "CampaignCheckpoint",
     "CampaignResumeError",
-    "CampaignScheduler",
     "campaign_units",
     "run_campaign",
     "ExplorationSession",

@@ -69,7 +69,7 @@ class CampaignReport:
     spec_fingerprint: str
     units: list[UnitResult] = field(default_factory=list)
     # Scheduling-invariant evaluation counters (EvalStats minus its
-    # execution fields): identical between sequential and overlapped runs
+    # execution fields): identical for any worker count or shard split
     # of the same spec — what the determinism tests and CI diff.
     stats: dict = field(default_factory=dict)
     # Cache-efficacy counters (phase-engine + tilestats hits/misses):
@@ -107,11 +107,11 @@ class CampaignReport:
         """The scheduling-invariant view of this report.
 
         Everything here — unit order and row bytes — must be identical
-        whether the campaign ran sequentially or overlapped, fresh or
-        resumed.  Execution accounting (``stats``, ``resumed`` flags) and
+        whether the campaign ran serially, over a pool or sharded, fresh
+        or resumed.  Execution accounting (``stats``, ``resumed`` flags) and
         artifact paths are excluded: they describe *how* a particular
         invocation got its answers, not the answers.  The determinism
-        tests and the CI scheduler job diff exactly this.
+        tests and the CI campaign jobs diff exactly this.
         """
         return {
             "name": self.name,

@@ -17,12 +17,9 @@ killed multi-dataset campaign cheap to restart:
 Together a resumed campaign whose units all finished performs **zero**
 new cost-model evaluations (asserted in ``tests/test_campaign.py``).
 
-Execution itself lives in :mod:`repro.campaign.scheduler`: units run
-either strictly in grid order (``overlap=False``, the default) or
-interleaved over the shared worker pool
-(:class:`~repro.campaign.scheduler.CampaignScheduler`), which completes
-units out of order while keeping the checkpoint and report byte-identical
-to the sequential path.
+Execution itself lives in :mod:`repro.campaign.scheduler`, which runs
+the units strictly in grid order; the checkpoint and report are the same
+bytes for any worker count.
 """
 
 from __future__ import annotations
@@ -35,9 +32,8 @@ from ..analysis.store import read_jsonl_healing
 from ..errors import CampaignError
 from ..faults.injector import fault_point
 from ..ioutil import atomic_write_text
-from . import scheduler as _scheduler
-from .report import CampaignReport, UnitResult
-from .scheduler import CampaignScheduler
+from .report import CampaignReport
+from .scheduler import run_units_sequential
 from .session import ExplorationSession
 from .spec import CampaignSpec, HardwarePoint
 
@@ -141,8 +137,8 @@ class CampaignCheckpoint:
 
         Kept out of the journal itself on purpose: counter snapshots are
         *execution accounting* (worker scheduling changes the hit/miss
-        split), while the journal's bytes are guaranteed identical
-        between sequential and overlapped runs.
+        split), while the journal's bytes are guaranteed identical for
+        any worker count.
         """
         return self.stats_path_for(self.path)
 
@@ -264,9 +260,9 @@ class CampaignCheckpoint:
         ``counters`` is an optional session cache-efficacy snapshot
         (cumulative at mark time).  What the stats *sidecar* records is
         the per-unit **delta** since the previous mark of this run —
-        deltas stay meaningful per unit (marks drain in grid order in
-        both schedulers) and *sum* to the true totals even across a
-        kill/resume, where each session's counters restart at zero.
+        deltas stay meaningful per unit (units run and mark one at a
+        time) and *sum* to the true totals even across a kill/resume,
+        where each session's counters restart at zero.
         They never enter the journal line, whose bytes must stay
         scheduling-invariant.
         """
@@ -329,8 +325,6 @@ def run_campaign(
     store: Any | None = None,
     checkpoint: CampaignCheckpoint | None = None,
     session: ExplorationSession | None = None,
-    overlap: bool = False,
-    max_inflight: int | None = None,
     only_units: "Collection[str] | None" = None,
 ) -> CampaignReport:
     """Run (or resume) every unit of ``spec`` through one session.
@@ -338,11 +332,8 @@ def run_campaign(
     ``store`` seeds the session's warm cache and receives fresh records;
     ``checkpoint`` skips completed units and journals new ones; pass an
     existing ``session`` to share its pool/memos (``workers``/``store``
-    are then ignored).  ``overlap=True`` interleaves all pending units
-    over the shared pool (up to ``max_inflight`` at once) via the
-    :class:`~repro.campaign.scheduler.CampaignScheduler` — faster on wide
-    grids, with checkpoint and report guaranteed byte-identical to the
-    sequential path; only the store's record *order* may differ.
+    are then ignored).  Units run one at a time in grid order; only the
+    candidates inside a unit fan out over the pool.
 
     ``only_units`` restricts execution to a subset of the spec's unit
     keys (grid order is preserved; the report covers only the subset).
@@ -362,26 +353,16 @@ def run_campaign(
     owns_session = session is None
     if owns_session:
         session = ExplorationSession(workers=workers, store=store)
-    units: list[UnitResult] = []
     try:
-        if overlap:
-            units = CampaignScheduler(
-                spec,
-                session,
-                checkpoint=checkpoint,
-                max_inflight=max_inflight,
-                only_units=only_units,
-            ).run()
-        else:
-            units = _scheduler.run_units_sequential(
-                spec, session, checkpoint=checkpoint, only_units=only_units
-            )
+        units = run_units_sequential(
+            spec, session, checkpoint=checkpoint, only_units=only_units
+        )
     finally:
         if owns_session:
             session.close()
     # The report's ``stats`` carry only the scheduling-invariant counters
-    # (identical for any worker count / unit interleaving); cache-efficacy
-    # counters are execution accounting and ride separately in ``cache``.
+    # (identical for any worker count); cache-efficacy counters are
+    # execution accounting and ride separately in ``cache``.
     stats = session.stats.as_dict()
     from ..core.evaluator import EvalStats
 

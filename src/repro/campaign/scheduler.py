@@ -1,38 +1,25 @@
-"""Streaming campaign scheduler: overlap independent units, keep bytes.
+"""Campaign unit execution: one ``(dataset, hardware)`` unit at a time.
 
-:func:`~repro.campaign.runner.run_campaign` historically executed its
-``(dataset, hardware)`` units strictly one after another, so on a wide
-grid the shared worker pool idled every time a unit was between batches
-(loading its dataset, folding its rows, normalizing a sweep baseline).
-:class:`CampaignScheduler` removes that serialization: every pending unit
-runs on its own lightweight thread, all of them submitting candidate
-batches to the session's single task-keyed pool, whose worker processes
-interleave work from every in-flight unit.  Units therefore *complete*
-out of order — but nothing observable does:
+:func:`~repro.campaign.runner.run_campaign` hands its unit grid to
+:func:`run_units_sequential`, which runs the units strictly in grid
+order through one shared session.  Parallelism lives below and above
+this layer: candidate batches fan out over the session's worker pool
+(``workers=N``), and ``repro.distributed`` shards the unit grid over
+worker processes.  Within one process, units run one at a time:
 
-- **checkpoint lines are journaled in grid order** by the coordinator
-  thread (a reorder buffer): a unit that finishes early is held until
-  every unit before it in the grid has been marked, so the checkpoint
-  file stays byte-identical to a sequential run's.  If the campaign is
-  killed while a completed unit is still held back, its evaluations are
-  already in the result store — the resumed run replays that unit from
-  the warm cache with **zero** duplicate cost-model evaluations;
+- **checkpoint lines are journaled in grid order**, each as soon as its
+  unit completes, so the checkpoint file is the same bytes whatever the
+  worker count;
 - **report rows are deterministic** because each unit's rows are a pure
-  function of the spec and the cost model — scheduling only changes
-  *when* a unit runs, never what it computes;
-- **failure semantics match the sequential path**: the first failing
-  unit *in grid order* raises, units before it are checkpointed, units
-  after it are never marked (their finished work parks in the store as
-  warm-cache capital for the retry).
-
-The only artifact allowed to differ is the result store's *line order*
-(records land in evaluation-completion order); its record *set* is
-equivalent, which is what the store's fingerprint semantics promise.
+  function of the spec and the cost model;
+- **a failing unit stops the campaign**: units before it are
+  checkpointed, units after it never start.  A killed campaign's
+  evaluations are already in the result store, so the resumed run
+  replays the interrupted unit from the warm cache.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any
 
 from ..analysis.sweep import sweep_bandwidth, sweep_num_pes, sweep_pe_allocation
@@ -46,25 +33,14 @@ from .session import ExplorationSession
 from .spec import CampaignSpec, HardwarePoint, unit_key
 
 __all__ = [
-    "CampaignScheduler",
     "checkpoint_payload",
     "run_unit",
     "run_units_sequential",
 ]
 
-# Thread cap for overlapped unit execution: unit threads are cheap (the
-# heavy lifting happens in pool worker processes), but each one holds a
-# loaded dataset, so an unbounded wide grid would balloon memory.
-DEFAULT_MAX_INFLIGHT = 8
-
 
 def checkpoint_payload(ds_name: str, pt: HardwarePoint, rows: list) -> dict:
-    """The checkpoint journal entry for one completed unit.
-
-    The single definition of the payload shape, shared by the sequential
-    runner and the overlapped scheduler — the byte-identity guarantee
-    between the two paths hangs on them never drifting apart.
-    """
+    """The checkpoint journal entry for one completed unit."""
     return {"dataset": ds_name, "hw": pt.key(), "rows": rows}
 
 
@@ -74,15 +50,14 @@ def run_units_sequential(
     checkpoint: Any | None = None,
     only_units: "frozenset[str] | None" = None,
 ) -> list[UnitResult]:
-    """Strict grid-order unit execution (the ``overlap=False`` path).
+    """Execute (or resume) the spec's units strictly in grid order.
 
-    Kept separate from :class:`CampaignScheduler` for its stronger
-    failure guarantee: unit *i+1* does not even start until unit *i*
-    completed, so a failing unit stops the campaign with no side effects
-    past it.  The resume skip, journal payload, and result assembly are
-    shared with the scheduler (:func:`checkpoint_payload`,
-    :func:`~repro.campaign.spec.unit_key`), keeping the two paths'
-    artifacts byte-identical by construction.
+    Units the ``checkpoint`` already journals are reported from it
+    (``resumed=True``) without running; every other unit runs, then is
+    journaled before the next one starts, so a failing unit stops the
+    campaign with no side effects past it.  ``only_units`` restricts
+    execution to a subset of unit keys (a distributed shard's
+    assignment), in grid order.
     """
     from .runner import campaign_units  # runner imports us; lazy back-ref
 
@@ -118,9 +93,8 @@ def run_unit(
 ) -> list[dict]:
     """Run one unit's candidate source; returns JSON-safe row dicts.
 
-    Pure with respect to scheduling: rows depend only on ``(spec, unit)``
-    and the cost model, so the sequential runner and the overlapped
-    scheduler produce identical rows by construction.
+    Rows depend only on ``(spec, unit)`` and the cost model, never on
+    the session's worker count or what ran before.
     """
     wl = workload_from_dataset(load_dataset(ds_name, seed=spec.seed))
     hw = pt.config()
@@ -205,147 +179,3 @@ def run_unit(
             partition=partition, **params
         )
     raise ValueError(f"unhandled source kind {kind!r}")  # pragma: no cover
-
-
-class CampaignScheduler:
-    """Overlap a campaign's independent units over one shared session.
-
-    Parameters
-    ----------
-    spec:
-        The validated campaign to run.
-    session:
-        The shared :class:`~repro.campaign.session.ExplorationSession`.
-        Its pool, warm cache, store, and stats are all thread-safe, and
-        each unit gets its own evaluator views.  Units with distinct
-        evaluation contexts can never collide on a candidate fingerprint,
-        so they overlap freely; units that *share* a context — hardware
-        points differing only by ``label``, which is presentation-level —
-        would race on the shared per-context memo, so the scheduler
-        chains them onto one thread in grid order instead (see
-        :meth:`run`).  Either way, overlapping changes throughput only,
-        never results.
-    checkpoint:
-        Optional :class:`~repro.campaign.runner.CampaignCheckpoint`.
-        Completed units are journaled strictly in grid order regardless
-        of completion order (see module docstring).
-    max_inflight:
-        Unit threads running at once (default ``DEFAULT_MAX_INFLIGHT``,
-        clamped to the number of pending units).  ``1`` degrades to
-        sequential execution with identical artifacts.
-    only_units:
-        Optional unit-key subset to execute (a distributed shard's
-        assignment); other units are neither run nor reported.  Grid
-        order — and with it the checkpoint's byte stability — is
-        preserved within the subset.
-    """
-
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        session: ExplorationSession,
-        *,
-        checkpoint: Any | None = None,
-        max_inflight: int | None = None,
-        only_units: "frozenset[str] | None" = None,
-    ) -> None:
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        self.spec = spec
-        self.session = session
-        self.checkpoint = checkpoint
-        self.max_inflight = max_inflight
-        self.only_units = only_units
-
-    @staticmethod
-    def _context_group(ds_name: str, pt: HardwarePoint) -> tuple:
-        """Units mapping to the same evaluation context must serialize.
-
-        The context signature hashes the workload and the
-        :class:`~repro.arch.config.AcceleratorConfig` — ``label`` is
-        presentation-level and excluded — so two hardware points that
-        differ only by label share one per-context memo.  Grouping by the
-        config-defining coordinates (computable without loading the
-        dataset) lets the scheduler chain such aliases onto one thread.
-        """
-        return (ds_name, pt.num_pes, pt.bandwidth, pt.gb_kib)
-
-    def run(self) -> list[UnitResult]:
-        """Execute (or resume) every unit; returns grid-ordered results."""
-        from .runner import campaign_units  # runner imports us; lazy back-ref
-
-        grid = list(campaign_units(self.spec))
-        results: list[UnitResult | None] = [None] * len(grid)
-        pending: list[int] = []
-        done = self.checkpoint.done if self.checkpoint is not None else {}
-        for i, (ds_name, pt) in enumerate(grid):
-            key = unit_key(ds_name, pt)
-            if self.only_units is not None and key not in self.only_units:
-                continue
-            if key in done:
-                results[i] = UnitResult(
-                    ds_name, pt.key(), done[key]["rows"], resumed=True
-                )
-            else:
-                pending.append(i)
-        if pending:
-            # Fork the worker processes from *this* thread, before any
-            # unit thread exists (fork in a multithreaded parent risks
-            # deadlocking a child on a lock some sibling held).
-            self.session.ensure_pool()
-            # One chain per evaluation context: grid-ordered so a memo
-            # alias (label-only hardware twin) hits the first unit's memo
-            # exactly as it would sequentially.
-            chains: dict[tuple, list[int]] = {}
-            for i in pending:
-                chains.setdefault(self._context_group(*grid[i]), []).append(i)
-            futures: dict[int, Future] = {i: Future() for i in pending}
-
-            def run_chain(indices: list[int]) -> None:
-                failed: BaseException | None = None
-                for i in indices:
-                    if failed is not None:
-                        # Sequential semantics within the chain: a failed
-                        # unit poisons its successors (grid-order drain
-                        # below raises at the first failure anyway).
-                        futures[i].set_exception(failed)
-                        continue
-                    try:
-                        rows = run_unit(
-                            self.session, self.spec, grid[i][0], grid[i][1]
-                        )
-                    except BaseException as exc:
-                        failed = exc
-                        futures[i].set_exception(exc)
-                    else:
-                        futures[i].set_result(rows)
-
-            width = min(
-                self.max_inflight or DEFAULT_MAX_INFLIGHT, len(chains)
-            )
-            with ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix="campaign-unit"
-            ) as pool:
-                chain_tasks = [
-                    pool.submit(run_chain, indices)
-                    for indices in chains.values()
-                ]
-                try:
-                    # Grid-order drain = the reorder buffer: unit i+1's
-                    # completed rows wait in their future until unit i has
-                    # been journaled, keeping the checkpoint byte-stable.
-                    for i in pending:
-                        ds_name, pt = grid[i]
-                        rows = futures[i].result()
-                        if self.checkpoint is not None:
-                            self.checkpoint.mark(
-                                unit_key(ds_name, pt),
-                                checkpoint_payload(ds_name, pt, rows),
-                                counters=self.session.cache_counters(),
-                            )
-                        results[i] = UnitResult(ds_name, pt.key(), rows)
-                except BaseException:
-                    for task in chain_tasks:
-                        task.cancel()
-                    raise
-        return [unit for unit in results if unit is not None]

@@ -77,10 +77,11 @@ class ExplorationSession:
         self.store = store
         self.phase_cache = phase_cache
         self.stats = EvalStats()
-        # Guards the shared counters and warm-cache mutation when the
-        # campaign scheduler drives several unit threads through one
-        # session; per-context memos are only ever touched by their own
-        # unit's evaluator views plus single dict operations here.
+        # Guards the shared counters and warm-cache mutation when several
+        # threads drive one session (serving answers queries from
+        # ``asyncio.to_thread`` workers); per-context memos are only ever
+        # touched by their own evaluator views plus single dict
+        # operations here.
         self.lock = threading.Lock()
         self._memos: dict[str, dict] = {}
         self._warm: dict[str, dict] = {}  # loaded warm records
@@ -175,8 +176,7 @@ class ExplorationSession:
         point, so contexts could never share entries anyway; keeping the
         caches separate also keeps their lifetime aligned with the
         context's memo.  Like the memos, a context's cache is only ever
-        touched by that context's evaluator views (the campaign scheduler
-        chains same-context units onto one thread).
+        touched by that context's evaluator views.
         """
         if not self.phase_cache:
             return None
@@ -239,28 +239,6 @@ class ExplorationSession:
         )
 
     # -- pool -----------------------------------------------------------
-    def ensure_pool(self) -> None:
-        """Create and spawn the shared pool from the calling thread.
-
-        The campaign scheduler calls this from its coordinator thread
-        *before* launching unit threads: the pool's worker processes are
-        forked while the process is still effectively single-threaded,
-        instead of lazily from inside a unit thread while siblings hold
-        locks (a fork-in-multithreaded-parent deadlock hazard).  No-op
-        for serial sessions (``workers == 0``).
-        """
-        if self.workers == 0:
-            return
-        with self.lock:
-            if self._closed:
-                raise RuntimeError("session is closed")
-            if self._pool is None:
-                self._pool = TaskKeyedPool(
-                    self.workers, _task_eval, chunksize=self.chunksize
-                )
-            pool = self._pool
-        pool.start()
-
     def map(
         self,
         ctx_key: str,
@@ -271,11 +249,12 @@ class ExplorationSession:
     ) -> list:
         """Fan ``items`` out over the shared pool under ``ctx_key``.
 
-        Safe to call from several unit threads at once: the pool is
-        created exactly once, and overlapping calls interleave their task
-        batches over the same worker processes.  ``chunksize`` overrides
-        the pool default for this batch (the evaluator passes ``1``: its
-        items are pre-packed candidate groups).
+        Safe to call from several threads at once (serving runs queries
+        on ``asyncio.to_thread`` workers): the pool is created exactly
+        once under the session lock, and concurrent batches share its
+        worker processes.  ``chunksize`` overrides the pool default for
+        this batch (the evaluator passes ``1``: its items are pre-packed
+        candidate groups).
         """
         if self._closed:
             raise RuntimeError("session is closed")

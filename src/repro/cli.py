@@ -21,9 +21,7 @@ evaluation service: ``--workers N`` fans candidates out over N processes
 streams every evaluated point into a resumable, deduplicated store that
 doubles as a warm cache on the next invocation.  ``sweep`` and ``search``
 are one-shot campaign specs under the hood; ``campaign run --spec FILE``
-drives the full declarative pipeline with checkpointed resume, and
-``--overlap`` interleaves independent units over the shared worker pool
-(checkpoint and report stay byte-identical to the sequential run).
+drives the full declarative pipeline with checkpointed resume.
 
 ``campaign dist-run --workers N`` shards a campaign over N worker
 *processes* (``shard-plan`` partitions the unit grid, ``shard-run`` is
@@ -39,7 +37,7 @@ Examples::
     python -m repro sweep --workers 4 --out runs/table5.jsonl
     python -m repro search --dataset cora --objective edp --budget 200
     python -m repro campaign run --spec examples/campaign_table5.json
-    python -m repro campaign run --spec spec.json --workers 4 --overlap
+    python -m repro campaign run --spec spec.json --workers 4
     python -m repro campaign status --spec examples/campaign_table5.json
     python -m repro campaign shard-plan --spec spec.json --shards 4
     python -m repro campaign dist-run --spec spec.json --workers 2
@@ -230,18 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="discard the existing checkpoint and store; restart",
             )
-            p_c.add_argument(
-                "--overlap",
-                action=argparse.BooleanOptionalAction,
-                default=False,
-                help="interleave independent units over the shared worker "
-                "pool (checkpoint/report stay byte-identical to "
-                "--no-overlap, the default)",
-            )
-            p_c.add_argument(
-                "--max-inflight", type=int, default=None, metavar="N",
-                help="units running at once under --overlap (default 8)",
-            )
 
     from .distributed.shardplan import SHARD_POLICIES
 
@@ -306,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="discard this shard's checkpoint and store; restart",
     )
     p_shard.add_argument(
-        "--overlap", action=argparse.BooleanOptionalAction, default=False,
-        help="interleave this shard's units over its worker pool",
-    )
-    p_shard.add_argument("--max-inflight", type=int, default=None, metavar="N")
-    p_shard.add_argument(
         "--heartbeat-interval", type=float, default=1.0, metavar="SEC",
         help="progress-sidecar heartbeat period (default 1.0)",
     )
@@ -358,10 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument(
         "--no-resume", action="store_true",
         help="discard shard and merged artifacts; restart from scratch",
-    )
-    p_dist.add_argument(
-        "--overlap", action=argparse.BooleanOptionalAction, default=False,
-        help="overlap units inside each shard worker",
     )
     p_dist.add_argument(
         "--heartbeat-interval", type=float, default=0.25, metavar="SEC",
@@ -858,8 +835,6 @@ def _cmd_shard_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
             plan,
             args.shard_index,
             workers=args.workers,
-            overlap=args.overlap,
-            max_inflight=args.max_inflight,
             resume=not args.no_resume,
             base_store=args.base_store,
             attempt=args.attempt,
@@ -903,7 +878,6 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
             shards=args.workers,
             policy=args.policy,
             shard_workers=args.shard_workers,
-            overlap=args.overlap,
             out=args.out,
             checkpoint=args.checkpoint,
             resume=not args.no_resume,
@@ -976,8 +950,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 store=store,
                 checkpoint=checkpoint,
-                overlap=args.overlap,
-                max_inflight=args.max_inflight,
             )
         finally:
             checkpoint.close()
@@ -1006,9 +978,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # no index exists) — never from opening/healing the store, which
         # a concurrently running campaign may own.  Cache-efficacy
         # entries come from the checkpoint's stats sidecar (written at
-        # each unit mark; per-unit deltas, execution accounting — under
-        # the overlapped scheduler a delta charges whatever ran between
-        # two grid-order marks to the later unit).
+        # each unit mark; per-unit deltas, execution accounting).
         from .campaign.report import hit_rate
 
         peek = ResultStore.peek(store_path)

@@ -739,8 +739,8 @@ class DataflowEvaluator:
         self._fp_factory = FingerprintFactory(self._ctx_signature)
         self.ctx_key = context_key(wl, hw, self.partition_spec)
         self._memo: dict[str, tuple] = session.memo_for(self.ctx_key)
-        # One sparsity cache per workload, shared session-wide: overlapping
-        # contexts on the same graph (e.g. a num_pes sweep) resolve to the
+        # One sparsity cache per workload, shared session-wide: every
+        # context on the same graph (e.g. a num_pes sweep) resolves to the
         # same handle through the session's registry.
         self.tilestats: TileStats = session.tilestats_for(wl.graph)
         # One phase-engine result cache per context (engine runs embed the
@@ -904,7 +904,7 @@ class DataflowEvaluator:
 
     def _bump(self, counter: str, amount: int = 1) -> None:
         """Advance a counter on this view *and* on the shared session
-        (under the session lock: overlapping unit threads share it)."""
+        (under the session lock: serving's query threads share it)."""
         with self.session.lock:
             setattr(self.stats, counter, getattr(self.stats, counter) + amount)
             stats = self.session.stats

@@ -14,13 +14,9 @@ The protocol is deliberately function-agnostic — the pool maps a
 module-level ``fn(ctx, item)`` over ``(key, item)`` tasks — so the
 evaluator, future shard executors, and tests can all reuse it.
 
-Submission is **asynchronous and thread-safe**: :meth:`TaskKeyedPool.submit`
-enqueues a task batch and returns a :class:`PoolTicket`; the blocking
-:meth:`TaskKeyedPool.map` is just ``submit(...).wait()``.  The campaign
-scheduler exploits this by driving several unit threads through one
-pool — each thread blocks only on its *own* ticket while the worker
-processes interleave task batches from every in-flight unit, so wide
-campaign grids keep all workers busy across unit boundaries.
+:meth:`TaskKeyedPool.map` is thread-safe: serving calls the session from
+``asyncio.to_thread`` workers, so batches from several threads may share
+the worker processes, each caller blocking only on its own batch.
 
 Because each worker unpickles a context blob **once** and then reuses the
 same object for every task carrying that key, mutable per-context state
@@ -44,7 +40,7 @@ from typing import Any, Callable, Sequence
 
 from ..errors import ReproError, WorkerCrashError
 
-__all__ = ["PoolTicket", "TaskKeyedPool"]
+__all__ = ["TaskKeyedPool"]
 
 
 # Per-worker-process cache of unpickled contexts, keyed by spool path.
@@ -104,26 +100,6 @@ def _dispatch(fn: Callable[[Any, Any], Any], task: tuple[str, Any]) -> Any:
         raise WorkerCrashError.from_exception(exc, tb) from None
 
 
-class PoolTicket:
-    """Handle for one in-flight :meth:`TaskKeyedPool.submit` batch.
-
-    ``wait()`` blocks until every task of the batch has run and returns
-    the ordered results; ``ready()`` polls without blocking.  Tickets are
-    what lets several campaign units share one pool concurrently — each
-    caller waits on its own batch while the workers interleave all of
-    them.
-    """
-
-    def __init__(self, async_result) -> None:
-        self._async = async_result
-
-    def wait(self, timeout: float | None = None) -> list[Any]:
-        return self._async.get(timeout)
-
-    def ready(self) -> bool:
-        return self._async.ready()
-
-
 class TaskKeyedPool:
     """A ``multiprocessing`` pool whose tasks carry their own context key.
 
@@ -162,8 +138,7 @@ class TaskKeyedPool:
 
         The blob is written before any task carrying ``key`` is
         dispatched, so workers can always resolve the key lazily.
-        Thread-safe: concurrent unit threads registering distinct (or the
-        same) keys serialize on the spool.
+        Thread-safe: concurrent registrations serialize on the spool.
         """
         with self._lock:
             path = self._registered.get(key)
@@ -180,64 +155,40 @@ class TaskKeyedPool:
             return path
 
     # -- execution ------------------------------------------------------
-    def start(self) -> None:
-        """Spawn the worker processes now instead of on the first map.
-
-        Call this from the main (coordinator) thread before handing the
-        pool to concurrent submitters: forking lazily from inside a
-        worker thread while sibling threads hold locks is a classic
-        deadlock source (CPython 3.12 warns about exactly this).
-        """
-        with self._lock:
-            self._ensure_pool()
-
-    def submit(
+    def map(
         self, key: str, items: Sequence[Any], *, chunksize: int | None = None
-    ) -> PoolTicket:
-        """Enqueue ``fn(ctx_of(key), item)`` for each item; non-blocking.
+    ) -> list[Any]:
+        """Run ``fn(ctx_of(key), item)`` for each item, preserving order.
 
-        Returns a :class:`PoolTicket` whose ``wait()`` yields the ordered
-        results.  ``key`` must have been :meth:`register`-ed first.
-        Thread-safe: batches submitted from different threads interleave
-        over the same worker processes at chunk granularity.
+        ``key`` must have been :meth:`register`-ed first.  Thread-safe:
+        the batch is enqueued under the pool lock and awaited outside it,
+        so batches from different threads interleave over the same
+        worker processes and only this caller waits on this batch.
         ``chunksize`` overrides the pool default for this batch — callers
-        submitting pre-packed item groups pass ``1`` so each group is its
+        passing pre-packed item groups pass ``1`` so each group is its
         own scheduling quantum.
         """
         with self._lock:
             path = self._registered.get(key)
             if path is None:
                 raise KeyError(f"context key {key!r} was never registered")
-            pool = self._ensure_pool()
-            tasks = [(path, item) for item in items]
-            async_result = pool.map_async(
+            if self._pool is None:
+                import multiprocessing
+
+                method = (
+                    "fork"
+                    if "fork" in multiprocessing.get_all_start_methods()
+                    else "spawn"
+                )
+                self._pool = multiprocessing.get_context(method).Pool(
+                    self.workers
+                )
+            async_result = self._pool.map_async(
                 functools.partial(_dispatch, self.fn),
-                tasks,
+                [(path, item) for item in items],
                 chunksize=self.chunksize if chunksize is None else chunksize,
             )
-        return PoolTicket(async_result)
-
-    def map(
-        self, key: str, items: Sequence[Any], *, chunksize: int | None = None
-    ) -> list[Any]:
-        """Run ``fn(ctx_of(key), item)`` for each item, preserving order.
-
-        Blocking form of :meth:`submit`; only this caller waits — other
-        threads' submissions keep flowing through the shared pool.
-        """
-        return self.submit(key, items, chunksize=chunksize).wait()
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            import multiprocessing
-
-            method = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-            self._pool = multiprocessing.get_context(method).Pool(self.workers)
-        return self._pool
+        return async_result.get()
 
     @property
     def started(self) -> bool:

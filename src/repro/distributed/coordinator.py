@@ -184,7 +184,6 @@ class DistributedCoordinator:
         shards: int = 2,
         policy: str = "round-robin",
         shard_workers: int = 0,
-        overlap: bool = False,
         out: str | Path | None = None,
         checkpoint: str | Path | None = None,
         resume: bool = True,
@@ -204,7 +203,6 @@ class DistributedCoordinator:
         self.shards = shards
         self.policy = policy
         self.shard_workers = shard_workers
-        self.overlap = overlap
         self.base_store = Path(out) if out else base_store_for(self.spec)
         if checkpoint:
             self.checkpoint_path = Path(checkpoint)
@@ -264,8 +262,6 @@ class DistributedCoordinator:
             "--heartbeat-interval",
             str(self.heartbeat_interval),
         ]
-        if self.overlap:
-            cmd.append("--overlap")
         if not self.resume and state.attempt == 0:
             cmd.append("--no-resume")
         if state.injected_pending:

@@ -210,8 +210,6 @@ def run_shard(
     shard_index: int,
     *,
     workers: int = 0,
-    overlap: bool = False,
-    max_inflight: int | None = None,
     resume: bool = True,
     base_store: str | Path | None = None,
     attempt: int = 0,
@@ -295,8 +293,6 @@ def run_shard(
             spec,
             session=session,
             checkpoint=checkpoint,
-            overlap=overlap,
-            max_inflight=max_inflight,
             only_units=frozenset(assigned),
         )
     except BaseException as exc:

@@ -11,7 +11,7 @@ session — and by every session touching the same dataset.
 
 :class:`TileStats` is that cache for one graph; :class:`TileStatsRegistry`
 deduplicates instances across workload contexts by graph content digest so
-overlapping campaign units on the same dataset share a single cache.  Both
+every campaign unit on the same dataset shares a single cache.  Both
 are plain picklable containers: the evaluation service ships a
 ``TileStats`` to pool workers alongside the ``(workload, hardware)``
 context blob, and each worker keeps filling the same instance across
@@ -246,7 +246,8 @@ class TileStatsRegistry:
 
     Keyed by sparsity-pattern digest (cached on each graph instance) so
     two workload contexts built from independently-loaded copies of one
-    dataset (e.g. overlapping campaign units) resolve to the same cache.
+    dataset (e.g. campaign units on several hardware points) resolve to
+    the same cache.
     Only one graph per distinct pattern is kept alive — the one inside
     its :class:`TileStats`.  Every cache the registry creates takes its
     byte budget from ``REPRO_TILESTATS_BUDGET``.

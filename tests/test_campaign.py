@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import time
 
 import pytest
 
@@ -499,7 +498,7 @@ class TestRunCampaign:
 
 
 # ----------------------------------------------------------------------
-# Streaming scheduler: overlapped units, byte-stable artifacts
+# Unit execution: grid order, byte-stable artifacts for any worker count
 # ----------------------------------------------------------------------
 
 def sched_spec(**overrides) -> CampaignSpec:
@@ -528,22 +527,22 @@ def store_lines(tmp_path, tag):
 
 
 class TestScheduler:
-    def test_overlap_matches_sequential_byte_for_byte(self, tmp_path):
+    def test_pool_matches_serial_byte_for_byte(self, tmp_path):
         spec = sched_spec()
-        seq = run_with_artifacts(tmp_path, "seq", spec, overlap=False)
-        ovl = run_with_artifacts(tmp_path, "ovl", spec, overlap=True)
+        serial = run_with_artifacts(tmp_path, "serial", spec, workers=0)
+        pooled = run_with_artifacts(tmp_path, "pooled", spec, workers=1)
 
-        assert ovl.canonical_json() == seq.canonical_json()
-        assert ovl.digest() == seq.digest()
-        assert ovl.stats == seq.stats
-        # the checkpoint is byte-identical despite out-of-order completion
-        assert (tmp_path / "ovl.ckpt.jsonl").read_bytes() == (
-            tmp_path / "seq.ckpt.jsonl"
+        assert pooled.canonical_json() == serial.canonical_json()
+        assert pooled.digest() == serial.digest()
+        assert pooled.stats == serial.stats
+        assert (tmp_path / "pooled.ckpt.jsonl").read_bytes() == (
+            tmp_path / "serial.ckpt.jsonl"
         ).read_bytes()
-        # store record *sets* are equivalent (line order may differ)
-        assert store_lines(tmp_path, "ovl") == store_lines(tmp_path, "seq")
+        assert store_lines(tmp_path, "pooled") == store_lines(
+            tmp_path, "serial"
+        )
 
-    def test_overlap_with_multi_hardware_grid(self, tmp_path):
+    def test_pool_matches_serial_with_multi_hardware_grid(self, tmp_path):
         spec = sched_spec(
             datasets=["mutag", "proteins"],
             hardware=[
@@ -551,16 +550,18 @@ class TestScheduler:
                 HardwarePoint(num_pes=512, label="big"),
             ],
         )
-        seq = run_with_artifacts(tmp_path, "seq", spec, overlap=False)
-        ovl = run_with_artifacts(tmp_path, "ovl", spec, overlap=True)
-        assert ovl.canonical_json() == seq.canonical_json()
-        assert store_lines(tmp_path, "ovl") == store_lines(tmp_path, "seq")
+        serial = run_with_artifacts(tmp_path, "serial", spec, workers=0)
+        pooled = run_with_artifacts(tmp_path, "pooled", spec, workers=1)
+        assert pooled.canonical_json() == serial.canonical_json()
+        assert store_lines(tmp_path, "pooled") == store_lines(
+            tmp_path, "serial"
+        )
 
-    def test_overlap_serializes_label_aliased_hardware_points(self, tmp_path):
+    def test_label_aliased_hardware_points_share_one_memo(self, tmp_path):
         """Two hardware points differing only by label share one evaluation
-        context (labels are presentation-level), hence one memo — the
-        scheduler must chain them instead of racing them, keeping stats
-        and persisted records identical to the sequential run."""
+        context (labels are presentation-level), hence one memo: the
+        second label's unit is answered from the first one's memo, with
+        or without the pool."""
         spec = sched_spec(
             datasets=["mutag", "proteins"],
             hardware=[
@@ -568,72 +569,28 @@ class TestScheduler:
                 HardwarePoint(num_pes=512, label="b"),
             ],
         )
-        seq = run_with_artifacts(tmp_path, "seq", spec, overlap=False)
-        ovl = run_with_artifacts(tmp_path, "ovl", spec, overlap=True)
-        assert ovl.canonical_json() == seq.canonical_json()
-        assert ovl.stats == seq.stats
+        serial = run_with_artifacts(tmp_path, "serial", spec, workers=0)
+        pooled = run_with_artifacts(tmp_path, "pooled", spec, workers=1)
+        assert pooled.canonical_json() == serial.canonical_json()
+        assert pooled.stats == serial.stats
         # the alias unit was answered from the memo, not re-evaluated
-        assert ovl.stats["cache_hits"] == 2 * len(PAPER_CONFIGS)
-        assert ovl.stats["evaluated"] == 2 * len(PAPER_CONFIGS)
+        assert pooled.stats["cache_hits"] == 2 * len(PAPER_CONFIGS)
+        assert pooled.stats["evaluated"] == 2 * len(PAPER_CONFIGS)
         # and only the first-in-grid label's records were persisted
-        assert store_lines(tmp_path, "ovl") == store_lines(tmp_path, "seq")
+        assert store_lines(tmp_path, "pooled") == store_lines(
+            tmp_path, "serial"
+        )
 
-    def test_scheduler_prestarts_pool_before_unit_threads(self, tmp_path):
-        """The worker pool must be forked from the coordinator thread, not
-        lazily from inside a unit thread (fork-in-multithreaded-parent
-        deadlock hazard)."""
-        from repro.campaign import CampaignScheduler, ExplorationSession
-
-        spec = sched_spec(datasets=["mutag"])
-        with ExplorationSession(workers=1) as session:
-            started_at_unit_entry = []
-            import repro.campaign.scheduler as scheduler
-
-            real = scheduler.run_unit
-
-            def probing(sess, spec_, ds, pt):
-                started_at_unit_entry.append(sess.pool_started)
-                return real(sess, spec_, ds, pt)
-
-            import unittest.mock as mock
-
-            with mock.patch.object(scheduler, "run_unit", probing):
-                CampaignScheduler(spec, session).run()
-            assert started_at_unit_entry == [True]
-
-    def test_checkpoint_stays_grid_ordered_under_reversed_completion(
+    def test_killed_pooled_campaign_resumes_byte_identical(
         self, tmp_path, monkeypatch
     ):
-        """Delay early units so later ones *finish* first: the reorder
-        buffer must still journal completions in grid order."""
+        """Kill-and-resume over the pool: the replay must converge on the
+        uninterrupted run's exact checkpoint and report, with zero
+        duplicate cost-model evaluations across the two attempts."""
         import repro.campaign.scheduler as scheduler
 
         spec = sched_spec()
-        real = scheduler.run_unit
-        delays = {"mutag": 0.3, "proteins": 0.15, "imdb-bin": 0.0}
-
-        def staggered(session, spec_, ds_name, pt):
-            time.sleep(delays[ds_name])
-            return real(session, spec_, ds_name, pt)
-
-        monkeypatch.setattr(scheduler, "run_unit", staggered)
-        run_with_artifacts(tmp_path, "ovl", spec, overlap=True)
-        lines = [
-            json.loads(l)
-            for l in (tmp_path / "ovl.ckpt.jsonl").read_text().splitlines()
-        ]
-        assert [rec["unit"] for rec in lines[1:]] == spec.unit_keys()
-
-    def test_killed_overlapped_campaign_resumes_byte_identical(
-        self, tmp_path, monkeypatch
-    ):
-        """Kill-and-resume with overlap: the replay must converge on the
-        sequential run's exact checkpoint and report, with zero duplicate
-        cost-model evaluations across the two attempts."""
-        import repro.campaign.scheduler as scheduler
-
-        spec = sched_spec()
-        reference = run_with_artifacts(tmp_path, "ref", spec, overlap=False)
+        reference = run_with_artifacts(tmp_path, "ref", spec, workers=1)
 
         real = scheduler.run_unit
 
@@ -646,7 +603,7 @@ class TestScheduler:
         store = ResultStore(tmp_path / "run.jsonl")
         ckpt = CampaignCheckpoint(tmp_path / "run.ckpt.jsonl", spec.fingerprint())
         with pytest.raises(RuntimeError, match="simulated"):
-            run_campaign(spec, store=store, checkpoint=ckpt, overlap=True)
+            run_campaign(spec, workers=1, store=store, checkpoint=ckpt)
         ckpt.close()
         store.close()
         persisted_before = len(ResultStore(tmp_path / "run.jsonl"))
@@ -659,7 +616,7 @@ class TestScheduler:
         monkeypatch.setattr(scheduler, "run_unit", real)
         store = ResultStore(tmp_path / "run.jsonl")
         ckpt = CampaignCheckpoint(tmp_path / "run.ckpt.jsonl", spec.fingerprint())
-        resumed = run_campaign(spec, store=store, checkpoint=ckpt, overlap=True)
+        resumed = run_campaign(spec, workers=1, store=store, checkpoint=ckpt)
         ckpt.close()
         store.close()
 
@@ -676,7 +633,7 @@ class TestScheduler:
         assert resumed.stats["evaluated"] == total - persisted_before
         assert resumed.stats["warm_hits"] == persisted_before - len(PAPER_CONFIGS)
 
-    def test_failing_unit_propagates_under_overlap(self, tmp_path):
+    def test_failing_unit_propagates_through_pool(self, tmp_path):
         # 1 PE: the table5 units themselves raise LegalityError.
         from repro.core.legality import LegalityError
 
@@ -684,29 +641,14 @@ class TestScheduler:
             datasets=["mutag"], hardware=[HardwarePoint(num_pes=1)]
         )
         with pytest.raises(LegalityError):
-            run_campaign(spec, overlap=True)
+            run_campaign(spec, workers=1)
 
-    def test_max_inflight_validation(self):
-        from repro.campaign import CampaignScheduler, ExplorationSession
-
-        with ExplorationSession() as session:
-            with pytest.raises(ValueError, match="max_inflight"):
-                CampaignScheduler(sched_spec(), session, max_inflight=0)
-
-    def test_max_inflight_one_degrades_to_sequential(self, tmp_path):
+    def test_pooled_resume_from_checkpoint_is_free(self, tmp_path):
         spec = sched_spec(datasets=["mutag", "proteins"])
-        seq = run_with_artifacts(tmp_path, "seq", spec, overlap=False)
-        ovl = run_with_artifacts(
-            tmp_path, "ovl", spec, overlap=True, max_inflight=1
-        )
-        assert ovl.canonical_json() == seq.canonical_json()
-
-    def test_overlap_resume_from_checkpoint_is_free(self, tmp_path):
-        spec = sched_spec(datasets=["mutag", "proteins"])
-        run_with_artifacts(tmp_path, "a", spec, overlap=True)
+        run_with_artifacts(tmp_path, "a", spec, workers=1)
         store = ResultStore(tmp_path / "a.jsonl")
         ckpt = CampaignCheckpoint(tmp_path / "a.ckpt.jsonl", spec.fingerprint())
-        again = run_campaign(spec, store=store, checkpoint=ckpt, overlap=True)
+        again = run_campaign(spec, workers=1, store=store, checkpoint=ckpt)
         ckpt.close()
         store.close()
         assert again.resumed_units == len(again.units)
@@ -746,27 +688,6 @@ class TestCampaignCLI:
 
         out = self.run_cli(capsys, "campaign", "report", *args)
         assert "2 units (2 from checkpoint)" in out
-
-    def test_run_overlap_flag_matches_sequential(self, capsys, tmp_path):
-        spec_path = tiny_spec(name="cli-ovl").save(tmp_path / "spec.json")
-
-        def run(tag, *extra):
-            return json.loads(
-                self.run_cli(
-                    capsys, "campaign", "run", "--spec", str(spec_path),
-                    "--out", str(tmp_path / f"{tag}.jsonl"),
-                    "--checkpoint", str(tmp_path / f"{tag}.ckpt.jsonl"),
-                    "--json", *extra,
-                )
-            )
-
-        seq = run("seq", "--no-overlap")
-        ovl = run("ovl", "--overlap")
-        assert ovl["units"] == seq["units"]
-        assert ovl["stats"] == seq["stats"]
-        assert (tmp_path / "ovl.ckpt.jsonl").read_bytes() == (
-            tmp_path / "seq.ckpt.jsonl"
-        ).read_bytes()
 
     def test_status_reports_per_unit_states(self, capsys, tmp_path):
         """Per-unit queued / in-flight / done from checkpoint + index."""

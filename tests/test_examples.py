@@ -151,7 +151,11 @@ def test_serve_client(tmp_path):
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
     finally:
-        asyncio.run_coroutine_threadsafe(server.stop(), loop)
+        # Wait for stop() to finish on the loop before stopping the loop,
+        # or the loop dies with stop() still pending.
+        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(
+            timeout=10
+        )
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)
         service.close()

@@ -5,7 +5,7 @@ be *bit-identical* to the scalar recurrence for every lane — across ragged
 lengths, depths, zero-length and zero-cost granules, the hybrid
 batch-to-scalar cutover, and the step-chunked buffer refills — and both
 must agree with the independent discrete-event oracle
-(:mod:`repro.core.pipeline_sim`) on totals.
+(``tests/oracles/pipeline_sim.py``) on totals.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from repro.core.pipeline import (
     bounded_pipeline,
     bounded_pipeline_batch,
 )
-from repro.core.pipeline_sim import simulate_pipeline
+from oracles.pipeline_sim import simulate_pipeline
 
 
 def random_series(rng, n):

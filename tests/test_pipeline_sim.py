@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import bounded_pipeline
-from repro.core.pipeline_sim import simulate_pipeline
+from oracles.pipeline_sim import simulate_pipeline
 
 
 class TestBasics:
