@@ -17,7 +17,7 @@ from repro.arch.config import AcceleratorConfig
 from repro.core.granularity import granule_series, make_granule_spec
 from repro.core.legality import validate_dataflow
 from repro.core.omega import phase_specs
-from repro.core.pipeline import bounded_pipeline
+from repro.core.pipeline import bounded_pipeline_batch
 from repro.core.taxonomy import parse_dataflow
 from repro.core.workload import GNNWorkload
 from repro.engine.gemm import GemmTiling, simulate_gemm
@@ -47,7 +47,7 @@ def test_ablation_pingpong_depth(benchmark, series):
 
     def build():
         return {
-            d: bounded_pipeline(prod, cons, depth=d).total_cycles
+            d: bounded_pipeline_batch([prod], [cons], depth=d)[0].total_cycles
             for d in DEPTHS
         }
 
@@ -76,6 +76,8 @@ def test_ablation_depth_one_serializes(benchmark, series):
     """Depth 1 forces strict alternation: total ~= sum of both series."""
     prod, cons, _ = series
     r = benchmark.pedantic(
-        lambda: bounded_pipeline(prod, cons, depth=1), rounds=1, iterations=1
+        lambda: bounded_pipeline_batch([prod], [cons], depth=1)[0],
+        rounds=1,
+        iterations=1,
     )
     assert r.total_cycles >= 0.8 * (prod.sum() + cons.sum())

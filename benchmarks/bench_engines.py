@@ -13,7 +13,7 @@ import pytest
 
 from repro.arch.config import AcceleratorConfig
 from repro.core.omega import run_gnn_dataflow
-from repro.core.pipeline import bounded_pipeline
+from repro.core.pipeline import bounded_pipeline_batch
 from repro.core.taxonomy import IntraDataflow, Phase, parse_dataflow
 from repro.core.workload import GNNWorkload
 from repro.engine.gemm import GemmSpec, GemmTiling, simulate_gemm
@@ -55,7 +55,7 @@ def test_bench_pipeline_recurrence(benchmark):
     rng = np.random.default_rng(0)
     prod = rng.uniform(1, 10, 5000)
     cons = rng.uniform(1, 10, 5000)
-    rep = benchmark(lambda: bounded_pipeline(prod, cons, depth=2))
+    rep = benchmark(lambda: bounded_pipeline_batch([prod], [cons], depth=2)[0])
     assert rep.num_granules == 5000
 
 

@@ -123,7 +123,6 @@ from .core import (
     RunResult,
     SPVariant,
     TileHint,
-    bounded_pipeline,
     candidate_fingerprint,
     choose_tiles,
     count_design_space,
@@ -220,7 +219,6 @@ __all__ = [
     "RunResult",
     "SPVariant",
     "TileHint",
-    "bounded_pipeline",
     "candidate_fingerprint",
     "choose_tiles",
     "count_design_space",

@@ -68,14 +68,12 @@ class ExplorationSession:
         chunksize: int = 8,
         store: Any | None = None,
         warm: bool = True,
-        phase_cache: bool = True,
     ) -> None:
         if chunksize < 1:
             raise ValueError("chunksize must be >= 1")
         self.workers = (os.cpu_count() or 1) if workers < 0 else workers
         self.chunksize = chunksize
         self.store = store
-        self.phase_cache = phase_cache
         self.stats = EvalStats()
         # Guards the shared counters and warm-cache mutation when several
         # threads drive one session (serving answers queries from
@@ -168,9 +166,8 @@ class ExplorationSession:
         with self.lock:
             return self._tilestats.for_graph(graph)
 
-    def phase_cache_for(self, ctx_key: str) -> PhaseEngineCache | None:
-        """The per-context phase-engine result cache (or ``None`` when the
-        session was built with ``phase_cache=False``).
+    def phase_cache_for(self, ctx_key: str) -> PhaseEngineCache:
+        """The per-context phase-engine result cache.
 
         Keyed by evaluation context — engine runs embed the hardware
         point, so contexts could never share entries anyway; keeping the
@@ -178,8 +175,6 @@ class ExplorationSession:
         context's memo.  Like the memos, a context's cache is only ever
         touched by that context's evaluator views.
         """
-        if not self.phase_cache:
-            return None
         with self.lock:
             cache = self._phase_caches.get(ctx_key)
             if cache is None:

@@ -44,11 +44,7 @@ from .legality import (
     validate_dataflow,
 )
 from .omega import phase_specs, prepare_phases, run_gnn_dataflow
-from .pipeline import (
-    PipelineReport,
-    bounded_pipeline,
-    bounded_pipeline_batch,
-)
+from .pipeline import PipelineReport, bounded_pipeline_batch
 from .taxonomy import (
     Annot,
     Dataflow,
@@ -104,7 +100,6 @@ __all__ = [
     "run_gnn_dataflow",
     "prepare_phases",
     "PipelineReport",
-    "bounded_pipeline",
     "bounded_pipeline_batch",
     "Annot",
     "Dataflow",

@@ -285,6 +285,14 @@ def candidate_fingerprint(
 # Worker entry points (module-level so they pickle under spawn)
 # ----------------------------------------------------------------------
 
+def _tiling_kwargs(spec: TileHint | ExplicitTiles | None) -> dict:
+    """Keywords of :func:`run_gnn_dataflow`/:func:`prepare_phases` that
+    apply ``spec``: pinned tilings for :class:`ExplicitTiles`, else a hint."""
+    if isinstance(spec, ExplicitTiles):
+        return {"spmm_tiling": spec.spmm, "gemm_tiling": spec.gemm}
+    return {"hint": spec}
+
+
 def _evaluate_candidate(
     wl: GNNWorkload,
     hw: AcceleratorConfig,
@@ -295,24 +303,10 @@ def _evaluate_candidate(
     partition=None,
 ) -> tuple[RunResult | None, str | None]:
     try:
-        if isinstance(spec, ExplicitTiles):
-            return (
-                run_gnn_dataflow(
-                    wl,
-                    df,
-                    hw,
-                    spmm_tiling=spec.spmm,
-                    gemm_tiling=spec.gemm,
-                    stats=stats,
-                    cache=cache,
-                    partition=partition,
-                ),
-                None,
-            )
         return (
             run_gnn_dataflow(
-                wl, df, hw, hint=spec, stats=stats, cache=cache,
-                partition=partition,
+                wl, df, hw, stats=stats, cache=cache, partition=partition,
+                **_tiling_kwargs(spec),
             ),
             None,
         )
@@ -345,9 +339,9 @@ def _evaluate_group(
 
     Phase preparation (tiling + engine runs) happens per candidate
     through the shared ``cache``; composition happens once for the whole
-    group via :func:`~repro.core.interphase._compose_batch`, so the PP
-    recurrence advances every candidate simultaneously.  Per-candidate
-    results and error strings are identical to looping
+    group via :func:`~repro.core.interphase._compose_batch`, so PP
+    candidates sharing granule series run the recurrence once.
+    Per-candidate results and error strings are identical to looping
     :func:`_evaluate_candidate` (asserted in ``tests/test_batch_compose.py``).
 
     With a ``partition`` plan each candidate composes per graph block
@@ -363,22 +357,11 @@ def _evaluate_group(
     prepared: list = []  # parallel to group: (cdf, agg, cmb) | error str
     for _, df, spec in group:
         try:
-            if isinstance(spec, ExplicitTiles):
-                prepared.append(
-                    prepare_phases(
-                        wl,
-                        df,
-                        hw,
-                        spmm_tiling=spec.spmm,
-                        gemm_tiling=spec.gemm,
-                        stats=stats,
-                        cache=cache,
-                    )
+            prepared.append(
+                prepare_phases(
+                    wl, df, hw, stats=stats, cache=cache, **_tiling_kwargs(spec)
                 )
-            else:
-                prepared.append(
-                    prepare_phases(wl, df, hw, hint=spec, stats=stats, cache=cache)
-                )
+            )
         except (LegalityError, ValueError) as exc:
             prepared.append(f"{type(exc).__name__}: {exc}")
     items = [
@@ -1044,9 +1027,7 @@ class DataflowEvaluator:
                 self.wl,
                 self.hw,
                 TileStats(self.wl.graph),
-                # The session's opt-out must reach workers too: a
-                # phase_cache=False session ships no cache at all.
-                PhaseEngineCache() if self.session.phase_cache else None,
+                PhaseEngineCache(),
             )
             if self.partition_plan is not None:
                 # Ship the blocks but a *fresh* per-block stats registry:

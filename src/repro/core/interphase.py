@@ -17,6 +17,9 @@ through the global buffer; SP-Optimized turns that traffic into register
 file accesses; PP charges it to the small dedicated ping-pong partition
 (lower per-access energy, §V-B2); Seq spills the overflow to DRAM when the
 global buffer is finite.
+
+:func:`compose_batch` is the one composition path: :func:`compose` is a
+batch of one, and the evaluator composes whole dispatch groups.
 """
 
 from __future__ import annotations
@@ -34,11 +37,7 @@ from ..engine.spmm import SpmmResult
 from ..engine.stats import PhaseStats, merge_counts
 from .granularity import GranuleSpec, granule_series, make_granule_spec
 from .legality import LegalityError, validate_dataflow
-from .pipeline import (
-    PipelineReport,
-    bounded_pipeline,
-    bounded_pipeline_batch,
-)
+from .pipeline import PipelineReport, bounded_pipeline_batch
 from .taxonomy import (
     Dataflow,
     Granularity,
@@ -51,13 +50,12 @@ from .workload import GNNWorkload
 __all__ = ["RunResult", "compose", "compose_batch"]
 
 # One compose_batch item: (dataflow, workload, hw, agg_result, cmb_result) —
-# the exact argument tuple of one scalar compose() call.
+# the argument tuple of one compose() call.
 ComposeItem = "tuple[Dataflow, GNNWorkload, AcceleratorConfig, SpmmResult, GemmResult]"
 
 # Granule budget per recurrence sub-batch: bounds how many series are
 # materialized simultaneously (a series is one float64 per granule, twice
-# over).  A single over-budget series still runs — alone in its
-# sub-batch, exactly like the scalar path would have held it.
+# over).  A single over-budget series still runs, alone in its sub-batch.
 _MAX_BATCH_GRANULES = 8_000_000
 
 
@@ -175,20 +173,6 @@ def _seq_spill(
     return DramModel().spill(int_elems, free)
 
 
-def _pp_ingredients(
-    df: Dataflow,
-    wl: GNNWorkload,
-    gran: Granularity,
-    agg_res: SpmmResult,
-    cmb_res: GemmResult,
-):
-    """Granule spec plus aligned producer/consumer series for one PP
-    candidate (the recurrence's inputs, before it runs)."""
-    spec = make_granule_spec(df, wl, gran, agg_res, cmb_res)
-    prod_series, cons_series = granule_series(df, spec, agg_res, cmb_res)
-    return spec, prod_series, cons_series
-
-
 def compose(
     df: Dataflow,
     wl: GNNWorkload,
@@ -200,37 +184,26 @@ def compose(
 
     The engines must already have been run on the correct substrate: the
     full array for Seq/SP, the respective partitions for PP (handled by
-    :func:`repro.core.omega.run_gnn_dataflow`).
+    :func:`repro.core.omega.run_gnn_dataflow`).  A batch of one through
+    :func:`compose_batch`.
     """
-    gran = validate_dataflow(df)
-    pp: tuple[GranuleSpec, PipelineReport] | None = None
-    if df.inter is InterPhase.PP:
-        assert gran is not None
-        spec, prod_series, cons_series = _pp_ingredients(
-            df, wl, gran, agg_res, cmb_res
-        )
-        pp = (spec, bounded_pipeline(prod_series, cons_series, depth=2))
-    return _finish_compose(df, wl, hw, agg_res, cmb_res, gran, pp)
+    return compose_batch([(df, wl, hw, agg_res, cmb_res)])[0]
 
 
 def compose_batch(items: "Sequence[ComposeItem]") -> list[RunResult]:
-    """Compose many candidates at once; equals ``[compose(*i) for i in items]``.
+    """Compose many candidates at once: the one composition path, used by
+    :func:`compose` (a batch of one) and the evaluator alike.
 
-    Two batch-axis optimizations make this the evaluator's hot path:
+    Candidates sharing the same phase-result pair, phase order, producer
+    mapping, and granularity (e.g. the pe_split sweep of one PP mapping,
+    or phase-cache-mates) build their producer/consumer granule series
+    once and run the PP recurrence once; the deduplicated series go
+    through :func:`bounded_pipeline_batch` in sub-batches of at most
+    ``_MAX_BATCH_GRANULES`` granules.
 
-    - **granule-series dedup**: candidates sharing the same phase-result
-      pair, phase order, producer mapping, and granularity (e.g. the
-      pe_split sweep of one PP mapping, or phase-cache-mates) build their
-      producer/consumer series once;
-    - **one recurrence for the whole batch**: every PP candidate's series
-      goes into a single :func:`bounded_pipeline_batch` call — the
-      depth-bounded recurrence advances all candidates per granule step
-      instead of looping Python per candidate; bit-identical to
-      :func:`bounded_pipeline` per candidate (fuzz-proved).
-
-    Error semantics match the scalar loop: the first item (in item order)
-    whose composition is illegal raises, composing no observable state
-    for the items after it (composition is side-effect free).
+    The first item (in item order) whose composition is illegal raises;
+    composition is side-effect free, so nothing is observable of the
+    items after it.
     """
     results, errors = _compose_batch(items)
     if errors:
@@ -333,9 +306,8 @@ def _finish_compose(
     gran: Granularity | None,
     pp: "tuple[GranuleSpec, PipelineReport] | None",
 ) -> RunResult:
-    """Inter-phase accounting for one candidate, from (possibly batch-
-    computed) PP ingredients; the single definition both :func:`compose`
-    and :func:`compose_batch` flow through."""
+    """Inter-phase accounting for one candidate, given its PP granule
+    spec and recurrence report (``None`` for Seq/SP)."""
     agg = agg_res.stats
     cmb = cmb_res.stats
     ac = df.order is PhaseOrder.AC

@@ -8,9 +8,10 @@ from typing import Iterator
 
 from repro.core.enumeration import enumerate_pairs
 from repro.core.evaluator import ExplicitTiles, _spec_signature
-from repro.core.pipeline import bounded_pipeline
 from repro.core.taxonomy import Dataflow, InterPhase, PhaseOrder, SPVariant
 from repro.core.tiling import TileHint
+
+from .pipeline_sim import bounded_pipeline
 
 
 def enumerate_design_space_reference(

@@ -1,9 +1,12 @@
-"""Discrete-event co-simulation of the PP producer/consumer pipeline.
+"""Oracles for the PP producer/consumer pipeline.
 
-An independent implementation of the parallel-pipeline semantics used to
-*validate* :func:`repro.core.pipeline.bounded_pipeline` (which is a direct
-recurrence).  Here the two engines and the ping-pong buffer are explicit
-actors advancing through an event queue:
+:func:`bounded_pipeline` is the recurrence in its direct array form, one
+numpy-indexed iteration per granule: the bit-exact reference for the
+production kernel :func:`repro.core.pipeline.bounded_pipeline_batch`.
+
+:func:`simulate_pipeline` is an independent discrete-event implementation
+of the same parallel-pipeline semantics.  Here the two engines and the
+ping-pong buffer are explicit actors advancing through an event queue:
 
 - the producer works on granule ``i`` for ``t_prod[i]`` time units, then
   needs a free buffer bank to deposit it;
@@ -25,7 +28,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SimTrace", "simulate_pipeline"]
+from repro.core.pipeline import PipelineReport, _check_series
+
+__all__ = ["SimTrace", "bounded_pipeline", "simulate_pipeline"]
+
+
+def bounded_pipeline(
+    prod: np.ndarray, cons: np.ndarray, *, depth: int = 2
+) -> PipelineReport:
+    """Run the bounded-buffer pipeline recurrence for one candidate.
+
+    ``prod[i]``/``cons[i]`` are the cycles to produce/consume granule ``i``.
+    ``depth`` is the number of ping-pong banks (2 in the paper).
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    p, c = _check_series(prod, cons)
+    n = len(p)
+    if n == 0:
+        return PipelineReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    prod_done = np.zeros(n)
+    cons_done = np.zeros(n)
+    prod_stall = 0.0
+    cons_stall = 0.0
+    for i in range(n):
+        start_p = prod_done[i - 1] if i > 0 else 0.0
+        if i - depth >= 0:
+            waited = max(start_p, cons_done[i - depth])
+            prod_stall += waited - start_p
+            start_p = waited
+        prod_done[i] = start_p + p[i]
+        start_c = cons_done[i - 1] if i > 0 else 0.0
+        waited_c = max(start_c, prod_done[i])
+        cons_stall += waited_c - start_c
+        cons_done[i] = waited_c + c[i]
+
+    total = float(cons_done[-1])
+    return PipelineReport(
+        total_cycles=int(np.ceil(total)),
+        num_granules=n,
+        producer_busy=float(p.sum()),
+        consumer_busy=float(c.sum()),
+        producer_stall=float(prod_stall),
+        consumer_stall=float(cons_stall),
+        fill_cycles=float(p[0]),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """Batched candidate evaluation: phase-engine cache + compose_batch.
 
-Proves the tentpole guarantee end to end: the batch-aware evaluator —
-phase-engine result cache, mapping-grouped dispatch, and candidate-axis
-vectorized PP composition — produces outcomes *byte-identical* to the
-scalar reference path (the ``tests/oracles/`` enumeration, fingerprints
-and per-candidate PP recurrence, with the phase cache disabled),
-including over the paper's full 6,656-point enumeration.
+Proves end to end that the batch-aware evaluator — phase-engine result
+cache, mapping-grouped dispatch, and batched PP composition with shared
+granule series — produces outcomes *byte-identical* to the reference
+path (the ``tests/oracles/`` enumeration, fingerprints and array-form PP
+recurrence, with the phase cache disabled), including over the paper's
+full 6,656-point enumeration.
 """
 
 from __future__ import annotations
@@ -168,7 +168,10 @@ class TestBatchedEvaluatorEquality:
                 self._ctx_signature, df, hint
             ),
         )
-        session = ExplorationSession(phase_cache=False)
+        monkeypatch.setattr(
+            ExplorationSession, "phase_cache_for", lambda self, ctx_key: None
+        )
+        session = ExplorationSession()
         ref_ev = session.evaluator(wl, hw)
         assert ref_ev.phase_cache is None
         reference = ref_ev.evaluate(design_space_stream(ref_ev))

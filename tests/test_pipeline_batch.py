@@ -1,11 +1,12 @@
-"""Batched bounded-pipeline recurrence: exact equality proofs.
+"""Bounded-pipeline recurrence kernel: exact equality proofs.
 
-The batch kernel (:func:`repro.core.pipeline.bounded_pipeline_batch`) must
-be *bit-identical* to the scalar recurrence for every lane — across ragged
-lengths, depths, zero-length and zero-cost granules, the hybrid
-batch-to-scalar cutover, and the step-chunked buffer refills — and both
-must agree with the independent discrete-event oracle
-(``tests/oracles/pipeline_sim.py``) on totals.
+The production kernel (:func:`repro.core.pipeline.bounded_pipeline_batch`)
+must be *bit-identical* for every lane to the direct array form of the
+recurrence (the ``bounded_pipeline`` oracle in
+``tests/oracles/pipeline_sim.py``) — across ragged lengths, depths,
+zero-length and zero-cost granules, and the ``_STEP_CHUNK`` segment
+boundaries — and must agree with the independent discrete-event oracle in
+the same module on totals.
 """
 
 from __future__ import annotations
@@ -14,12 +15,8 @@ import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline_mod
-from repro.core.pipeline import (
-    PipelineReport,
-    bounded_pipeline,
-    bounded_pipeline_batch,
-)
-from oracles.pipeline_sim import simulate_pipeline
+from repro.core.pipeline import PipelineReport, bounded_pipeline_batch
+from oracles.pipeline_sim import bounded_pipeline, simulate_pipeline
 
 
 def random_series(rng, n):
@@ -55,11 +52,11 @@ class TestBatchEqualsScalar:
                 assert batch[b] == ref
 
     def test_fuzz_across_chunk_boundaries(self, monkeypatch):
-        """Tiny _STEP_CHUNK forces many buffer refills mid-recurrence."""
+        """Tiny _STEP_CHUNK forces many segment boundaries mid-recurrence."""
         monkeypatch.setattr(pipeline_mod, "_STEP_CHUNK", 7)
         rng = np.random.default_rng(0xC04)
         for _ in range(100):
-            nb = int(rng.integers(8, 20))  # keep the batch region busy
+            nb = int(rng.integers(8, 20))
             depth = int(rng.integers(1, 4))
             prods = [random_series(rng, int(rng.integers(1, 60))) for _ in range(nb)]
             conses = [random_series(rng, len(p)) for p in prods]
@@ -70,7 +67,8 @@ class TestBatchEqualsScalar:
                 )
 
     def test_hybrid_cutover_tail_lanes(self):
-        """A few very long lanes finish in the scalar continuation."""
+        """Ragged lengths: two long lanes spanning segment boundaries
+        among many short ones."""
         rng = np.random.default_rng(7)
         prods = [rng.random(5000), rng.random(4000)] + [
             rng.random(int(rng.integers(1, 40))) for _ in range(12)
@@ -110,6 +108,12 @@ class TestBatchEqualsScalar:
         bad = np.array([1.0, -2.0, 1.0])
         with pytest.raises(ValueError):
             bounded_pipeline_batch([good], [bad])
+        for value in (np.nan, np.inf):
+            odd = np.array([1.0, value, 1.0])
+            with pytest.raises(ValueError, match="finite"):
+                bounded_pipeline_batch([good], [odd])
+            with pytest.raises(ValueError, match="finite"):
+                bounded_pipeline_batch([odd], [good])
         with pytest.raises(ValueError):
             bounded_pipeline_batch([good], [good], depth=0)
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
-"""Cross-validation: pipeline recurrence vs discrete-event co-simulation.
+"""Cross-validation: the production pipeline recurrence
+(:func:`repro.core.pipeline.bounded_pipeline_batch`) vs discrete-event
+co-simulation.
 
 Two independent implementations of the PP semantics must agree exactly —
 this is the inter-phase analog of the engine/micro-simulator check.
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.pipeline import bounded_pipeline
+from repro.core.pipeline import bounded_pipeline_batch
 from oracles.pipeline_sim import simulate_pipeline
 
 
@@ -53,7 +55,7 @@ def test_recurrence_matches_event_simulation(times, depth):
     """Property: the closed-form recurrence equals the event simulation."""
     p = np.array([t[0] for t in times])
     c = np.array([t[1] for t in times])
-    rec = bounded_pipeline(p, c, depth=depth)
+    rec = bounded_pipeline_batch([p], [c], depth=depth)[0]
     sim = simulate_pipeline(p, c, depth=depth)
     assert sim.total_time == pytest.approx(
         rec.total_cycles, abs=1.01
@@ -91,6 +93,6 @@ def test_paper_granule_series_agree(er_graph):
     cmb = simulate_gemm(gemm_spec, df.cmb, GemmTiling(4, 1, 6), hw.partition(32))
     spec = make_granule_spec(df, wl, validate_dataflow(df), agg, cmb)
     prod, cons = granule_series(df, spec, agg, cmb)
-    rec = bounded_pipeline(prod, cons, depth=2)
+    rec = bounded_pipeline_batch([prod], [cons], depth=2)[0]
     sim = simulate_pipeline(prod, cons, depth=2)
     assert sim.total_time == pytest.approx(rec.total_cycles, abs=1.01)
