@@ -52,11 +52,23 @@ def test_bench_full_layer_pp(benchmark, big_graph):
 
 
 def test_bench_pipeline_recurrence(benchmark):
+    """Fractional times: the granule-by-granule loop."""
     rng = np.random.default_rng(0)
     prod = rng.uniform(1, 10, 5000)
     cons = rng.uniform(1, 10, 5000)
     rep = benchmark(lambda: bounded_pipeline_batch([prod], [cons], depth=2)[0])
     assert rep.num_granules == 5000
+
+
+def test_bench_pipeline_recurrence_integer(benchmark):
+    """Integer times, shaped like Cora's heavy element-granularity lanes
+    (producer <= 135 cycles, one constant consumer time): the exact
+    (max,+) block kernel."""
+    rng = np.random.default_rng(0)
+    prod = rng.integers(0, 136, 1 << 20).astype(np.float64)
+    cons = np.full(1 << 20, 8.0)
+    rep = benchmark(lambda: bounded_pipeline_batch([prod], [cons], depth=2)[0])
+    assert rep.num_granules == 1 << 20
 
 
 def test_bench_design_space_enumeration(benchmark):

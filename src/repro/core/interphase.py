@@ -53,11 +53,6 @@ __all__ = ["RunResult", "compose", "compose_batch"]
 # the argument tuple of one compose() call.
 ComposeItem = "tuple[Dataflow, GNNWorkload, AcceleratorConfig, SpmmResult, GemmResult]"
 
-# Granule budget per recurrence sub-batch: bounds how many series are
-# materialized simultaneously (a series is one float64 per granule, twice
-# over).  A single over-budget series still runs, alone in its sub-batch.
-_MAX_BATCH_GRANULES = 8_000_000
-
 
 @dataclass
 class RunResult:
@@ -197,9 +192,9 @@ def compose_batch(items: "Sequence[ComposeItem]") -> list[RunResult]:
     Candidates sharing the same phase-result pair, phase order, producer
     mapping, and granularity (e.g. the pe_split sweep of one PP mapping,
     or phase-cache-mates) build their producer/consumer granule series
-    once and run the PP recurrence once; the deduplicated series go
-    through :func:`bounded_pipeline_batch` in sub-batches of at most
-    ``_MAX_BATCH_GRANULES`` granules.
+    once and run the PP recurrence once; each deduplicated series is built
+    and run through :func:`bounded_pipeline_batch` on its own, so at most
+    one is resident at a time.
 
     The first item (in item order) whose composition is illegal raises;
     composition is side-effect free, so nothing is observable of the
@@ -223,13 +218,12 @@ def _compose_batch(
     failed: set[int] = set()
     # PP granule specs, deduplicated: series_of maps item index -> slot.
     # Specs are cheap (tile-size arithmetic); the series themselves are
-    # built lazily below, one bounded sub-batch at a time, because an
-    # element-granularity series can run to millions of granules and a
-    # whole batch of them must never be resident at once.
+    # built lazily below, one at a time, because an element-granularity
+    # series can run to millions of granules.
     series_key: dict[tuple, int] = {}
     series_of: dict[int, int] = {}
     pp_specs: list[GranuleSpec] = []
-    pp_args: list[tuple] = []  # (df, wl, agg_res, cmb_res) per slot
+    pp_args: list[tuple] = []  # (df, agg_res, cmb_res) per slot
     for i, (df, wl, hw, agg_res, cmb_res) in enumerate(items):
         try:
             gran = validate_dataflow(df)
@@ -246,38 +240,18 @@ def _compose_batch(
                     pp_specs.append(
                         make_granule_spec(df, wl, gran, agg_res, cmb_res)
                     )
-                    pp_args.append((df, wl, agg_res, cmb_res))
+                    pp_args.append((df, agg_res, cmb_res))
                     series_key[key] = slot
                 series_of[i] = slot
         except (LegalityError, ValueError) as exc:
             errors.append((i, exc))
             failed.add(i)
 
-    reports: list[PipelineReport | None] = [None] * len(pp_specs)
-    sub: list[int] = []
-    sub_elems = 0
-    for slot in range(len(pp_specs) + 1):
-        flush = slot == len(pp_specs) or (
-            sub and sub_elems + pp_specs[slot].num_granules > _MAX_BATCH_GRANULES
-        )
-        if flush and sub:
-            prod_series = []
-            cons_series = []
-            for s in sub:
-                df, wl, agg_res, cmb_res = pp_args[s]
-                prod, cons = granule_series(df, pp_specs[s], agg_res, cmb_res)
-                prod_series.append(prod)
-                cons_series.append(cons)
-            batch_reports = bounded_pipeline_batch(
-                prod_series, cons_series, depth=2
-            )
-            for s, report in zip(sub, batch_reports):
-                reports[s] = report
-            sub = []
-            sub_elems = 0
-        if slot < len(pp_specs):
-            sub.append(slot)
-            sub_elems += pp_specs[slot].num_granules
+    reports: list[PipelineReport] = []
+    for spec, (df, agg_res, cmb_res) in zip(pp_specs, pp_args):
+        prod, cons = granule_series(df, spec, agg_res, cmb_res)
+        reports += bounded_pipeline_batch([prod], [cons], depth=2)
+        del prod, cons  # freed before the next series is built
 
     results: list[RunResult | None] = [None] * n
     for i, (df, wl, hw, agg_res, cmb_res) in enumerate(items):

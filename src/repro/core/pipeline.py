@@ -13,15 +13,40 @@ fill, and the recurrence below models the transient stalls exactly:
 Load imbalance between partitions (Fig. 14) shows up as producer or
 consumer idle time, which :class:`PipelineReport` quantifies.
 
-:func:`bounded_pipeline_batch` runs the recurrence lane by lane over
-Python floats (the same IEEE doubles numpy would use, so every ``max``/``+``
-is bit-identical to the direct array form kept as the oracle in
-``tests/oracles/pipeline_sim.py``, fuzz-proved in
-``tests/test_pipeline_batch.py``).
+:func:`bounded_pipeline_batch` runs each lane one of two ways.
+
+*Loop.* Granule by granule over Python floats (the same IEEE doubles numpy
+would use, so every ``max``/``+`` is bit-identical to the direct array form
+kept as the oracle in ``tests/oracles/pipeline_sim.py``).
+
+*(max,+) block kernel.*  The state ``x_i = (prod_done[i], cons_done[i], ...,
+cons_done[i-depth+1])`` advances by ``x_i = M_i ⊗ x_{i-1}``, a
+(depth+1)x(depth+1) matrix product in the (max,+) semiring, so a run of
+granules composes into one transfer matrix.  The kernel cuts an
+``n``-granule lane into ``n // isqrt(n)`` blocks of ``isqrt(n)`` granules
+(the ``n mod isqrt(n)`` head granules go through the loop to seed the
+state), builds every block's matrix at once with one numpy step per granule
+column of a ``reshape(blocks, isqrt(n))`` view (the strided columns are
+copied step-major in slabs of at most ``_ARRAY_CHUNK`` granules, never the
+whole lane), then folds the blocks in order: O(sqrt(n)) numpy steps instead
+of ``n`` Python iterations.  It reports the stalls as
+``prod_done[n-1] - sum(t_prod)`` and ``cons_done[n-1] - sum(t_cons)``.
+
+*Guard.* Reassociating the recurrence changes no bit only when no ``+``
+rounds.  A lane takes the kernel when every granule time is an integer and
+``sum(t_prod) + sum(t_cons) < 2**53``: every state value and every finite
+matrix entry is then an integer no larger than that sum, so every
+intermediate is exact, and so are the loop's stall sums it replaces.  (The float sums of
+non-negative terms reach ``2**53`` exactly when the true sums do, so the
+test itself cannot be fooled by rounding.)  Any other lane runs the loop.
+Both paths are fuzzed against the oracle in
+``tests/test_pipeline_batch.py``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +61,12 @@ __all__ = [
 # Granules per ``.tolist()`` segment: a multi-million-granule series never
 # exists as boxed Python floats all at once.
 _STEP_CHUNK = 4096
+# Granules per array temporary of the (max,+) path: the guard's
+# integrality test and the kernel's step-major column copies stay this
+# small however long the lane is.
+_ARRAY_CHUNK = 1 << 16
+# Below this every integer is a double, and so is every sum of them.
+_EXACT_LIMIT = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -71,17 +102,21 @@ def _check_series(prod, cons) -> tuple[np.ndarray, np.ndarray]:
     return p, c
 
 
-def _run_lane(p: np.ndarray, c: np.ndarray, depth: int) -> PipelineReport:
-    n = len(p)
-    if n == 0:
-        return PipelineReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+def _loop(
+    p: np.ndarray, c: np.ndarray, depth: int
+) -> tuple[float, list[float], float, float]:
+    """Run the recurrence granule by granule from the zero start state.
+
+    Returns ``(prod_done, window, prod_stall, cons_stall)``; ``window``
+    holds the last ``depth`` consumer finish times, oldest first.
+    """
     prod_done = cons_done = prod_stall = cons_stall = 0.0
     # cons_done of the last ``depth`` granules; window[0] is granule
     # i - depth (0.0 before there is one, which never delays the producer
     # because times are non-negative).
     window = deque([0.0] * depth, maxlen=depth)
     push = window.append
-    for pos in range(0, n, _STEP_CHUNK):
+    for pos in range(0, len(p), _STEP_CHUNK):
         seg = slice(pos, pos + _STEP_CHUNK)
         for p_i, c_i in zip(p[seg].tolist(), c[seg].tolist()):
             freed = window[0]
@@ -94,11 +129,76 @@ def _run_lane(p: np.ndarray, c: np.ndarray, depth: int) -> PipelineReport:
                 cons_done = prod_done
             cons_done += c_i
             push(cons_done)
+    return prod_done, list(window), prod_stall, cons_stall
+
+
+def _is_integral(series: np.ndarray) -> bool:
+    for pos in range(0, len(series), _ARRAY_CHUNK):
+        chunk = series[pos : pos + _ARRAY_CHUNK]
+        if not (np.floor(chunk) == chunk).all():
+            return False
+    return True
+
+
+def _maxplus_lane(p: np.ndarray, c: np.ndarray, depth: int) -> tuple[float, float]:
+    """``(prod_done, cons_done)`` of the last granule, by (max,+) blocks.
+
+    Exact only under the guard in :func:`_run_lane` (see the module
+    docstring).
+    """
+    block = math.isqrt(len(p))
+    nblocks, head = divmod(len(p), block)
+    prod_done, window, _, _ = _loop(p[:head], c[:head], depth)
+    # rows[r][k, b] is entry (r, k) of block b's transfer matrix; row 0 is
+    # prod_done, row 1 + lag is cons_done ``lag`` granules back.  Start from the
+    # (max,+) identity: 0 on the diagonal, -inf elsewhere.
+    identity = np.where(np.eye(depth + 1, dtype=bool), 0.0, -np.inf)
+    rows = [np.repeat(row[:, None], nblocks, axis=1) for row in identity]
+    prod_row, cons_rows = rows[0], rows[1:]
+    p_steps = p[head:].reshape(nblocks, block)
+    c_steps = c[head:].reshape(nblocks, block)
+    # A granule column of the view is strided (one element per block), so
+    # the columns are copied step-major, a bounded slab at a time.
+    width = max(1, _ARRAY_CHUNK // nblocks)
+    for first in range(0, block, width):
+        cols = slice(first, first + width)
+        for p_j, c_j in zip(p_steps[:, cols].T.copy(), c_steps[:, cols].T.copy()):
+            np.maximum(prod_row, cons_rows[-1], out=prod_row)
+            prod_row += p_j
+            # The row of granule i - depth is dead now: reuse it for granule i.
+            np.maximum(prod_row, cons_rows[0], out=cons_rows[-1])
+            cons_rows[-1] += c_j
+            cons_rows.insert(0, cons_rows.pop())
+    # Fold the blocks in order over Python floats (the same doubles).
+    state = [prod_done, *reversed(window)]
+    matrices = np.stack([prod_row, *cons_rows]).transpose(2, 0, 1)
+    for matrix in matrices.tolist():
+        state = [max(map(operator.add, row, state)) for row in matrix]
+    return state[0], state[1]
+
+
+def _run_lane(p: np.ndarray, c: np.ndarray, depth: int) -> PipelineReport:
+    n = len(p)
+    if n == 0:
+        return PipelineReport(0, 0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    producer_busy = float(p.sum())
+    consumer_busy = float(c.sum())
+    if (
+        producer_busy + consumer_busy < _EXACT_LIMIT
+        and _is_integral(p)
+        and _is_integral(c)
+    ):
+        prod_done, cons_done = _maxplus_lane(p, c, depth)
+        prod_stall = prod_done - producer_busy
+        cons_stall = cons_done - consumer_busy
+    else:
+        _, window, prod_stall, cons_stall = _loop(p, c, depth)
+        cons_done = window[-1]
     return PipelineReport(
         total_cycles=int(np.ceil(cons_done)),
         num_granules=n,
-        producer_busy=float(p.sum()),
-        consumer_busy=float(c.sum()),
+        producer_busy=producer_busy,
+        consumer_busy=consumer_busy,
         producer_stall=prod_stall,
         consumer_stall=cons_stall,
         fill_cycles=float(p[0]),

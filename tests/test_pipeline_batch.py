@@ -6,7 +6,9 @@ recurrence (the ``bounded_pipeline`` oracle in
 ``tests/oracles/pipeline_sim.py``) — across ragged lengths, depths,
 zero-length and zero-cost granules, and the ``_STEP_CHUNK`` segment
 boundaries — and must agree with the independent discrete-event oracle in
-the same module on totals.
+the same module on totals.  Both of its paths are held to that: the loop
+and the exact (max,+) block kernel that integer-valued lanes take, whose
+guard is tested on both sides.
 """
 
 from __future__ import annotations
@@ -120,6 +122,139 @@ class TestBatchEqualsScalar:
             bounded_pipeline_batch([good, good], [good])
         with pytest.raises(ValueError):
             bounded_pipeline_batch([good], [np.ones(4)])
+
+
+def integer_series(rng, n, high):
+    return rng.integers(0, high + 1, n).astype(np.float64)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record the lengths of the lanes that take the (max,+) kernel."""
+    calls = []
+    kernel = pipeline_mod._maxplus_lane
+
+    def spy(p, c, depth):
+        calls.append(len(p))
+        return kernel(p, c, depth)
+
+    monkeypatch.setattr(pipeline_mod, "_maxplus_lane", spy)
+    return calls
+
+
+class TestMaxPlusFastPath:
+    # 1, 2, 3, then k^2 - 1, k^2, k^2 + 1: one block, a head and no head,
+    # and the head of isqrt(n) - 1 granules just below a square.
+    LENGTHS = [1, 2, 3] + [k * k + d for k in (2, 3, 7, 12) for d in (-1, 0, 1)]
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_structured_lengths(self, depth, kernel_calls):
+        rng = np.random.default_rng(depth)
+        for n in self.LENGTHS:
+            for high in (1, 9, 135, 10**6):
+                p, c = integer_series(rng, n, high), integer_series(rng, n, high)
+                report = bounded_pipeline_batch([p], [c], depth=depth)[0]
+                assert report == bounded_pipeline(p, c, depth=depth)
+        assert len(kernel_calls) == 4 * len(self.LENGTHS)
+
+    def test_fuzz_random_lengths(self, kernel_calls):
+        rng = np.random.default_rng(0x3A9)
+        for _ in range(150):
+            n = int(rng.integers(1, 700))
+            depth = int(rng.integers(1, 5))
+            # Constant consumer times (as on Cora's heavy lanes) half the time.
+            p = integer_series(rng, n, int(rng.integers(1, 300)))
+            if rng.random() < 0.5:
+                c = np.full(n, float(rng.integers(0, 20)))
+            else:
+                c = integer_series(rng, n, int(rng.integers(1, 300)))
+            report = bounded_pipeline_batch([p], [c], depth=depth)[0]
+            assert report == bounded_pipeline(p, c, depth=depth)
+        assert len(kernel_calls) == 150
+
+    def test_slab_boundaries(self, monkeypatch, kernel_calls):
+        """Tiny _ARRAY_CHUNK: many step-major slabs and guard chunks."""
+        monkeypatch.setattr(pipeline_mod, "_ARRAY_CHUNK", 5)
+        rng = np.random.default_rng(21)
+        for n in (1, 10, 99, 100, 101, 2500):
+            for depth in (1, 2, 3):
+                p, c = integer_series(rng, n, 40), integer_series(rng, n, 40)
+                report = bounded_pipeline_batch([p], [c], depth=depth)[0]
+                assert report == bounded_pipeline(p, c, depth=depth)
+        assert len(kernel_calls) == 18
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_all_zero_lanes(self, depth, kernel_calls):
+        for n in (1, 2, 3, 16, 17):
+            z = np.zeros(n)
+            report = bounded_pipeline_batch([z], [z], depth=depth)[0]
+            assert report == bounded_pipeline(z, z, depth=depth)
+        assert kernel_calls == [1, 2, 3, 16, 17]
+
+    def test_mixed_batch(self, kernel_calls):
+        """Qualifying and non-qualifying lanes interleave in one batch and
+        come back in batch order."""
+        rng = np.random.default_rng(0x313)
+        prods, conses, qualifying = [], [], []
+        for b in range(24):
+            n = int(rng.integers(1, 400))
+            p, c = integer_series(rng, n, 135), integer_series(rng, n, 8)
+            if b % 3 == 1:
+                c = c + 0.25  # non-integer: the loop
+            elif b % 3 == 2:
+                p = rng.random(n) * 50.0
+            else:
+                qualifying.append(n)
+            prods.append(p)
+            conses.append(c)
+        batch = bounded_pipeline_batch(prods, conses, depth=2)
+        for report, p, c in zip(batch, prods, conses):
+            assert report == bounded_pipeline(p, c, depth=2)
+        assert kernel_calls == qualifying
+
+
+class TestFastPathGuard:
+    def test_half_integer_lane_takes_the_loop(self, kernel_calls):
+        rng = np.random.default_rng(5)
+        p = integer_series(rng, 300, 135)
+        c = np.full(300, 2.0)
+        p[171] += 0.5
+        report = bounded_pipeline_batch([p], [c], depth=2)[0]
+        assert kernel_calls == []
+        assert report == bounded_pipeline(p, c, depth=2)
+
+    def test_sums_at_two_to_the_53_take_the_loop(self, kernel_calls):
+        # Integer-valued, but sum(p) + sum(c) = 2**53: a sum could round.
+        p = np.array([2.0**52, 0.0, 2.0**51, 3.0])
+        c = np.array([1.0, 2.0**51 - 4.0, 0.0, 0.0])
+        assert p.sum() + c.sum() == 2.0**53
+        report = bounded_pipeline_batch([p], [c], depth=2)[0]
+        assert kernel_calls == []
+        assert report == bounded_pipeline(p, c, depth=2)
+
+    def test_sums_just_below_two_to_the_53_take_the_kernel(self, kernel_calls):
+        p = np.array([2.0**52, 0.0, 2.0**51, 3.0])
+        c = np.array([1.0, 2.0**51 - 5.0, 0.0, 0.0])
+        report = bounded_pipeline_batch([p], [c], depth=2)[0]
+        assert kernel_calls == [4]
+        assert report == bounded_pipeline(p, c, depth=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_invalid_times_raise_before_any_lane_runs(
+        self, bad, monkeypatch, kernel_calls
+    ):
+        loops = []
+        loop = pipeline_mod._loop
+        monkeypatch.setattr(
+            pipeline_mod, "_loop", lambda *a: loops.append(1) or loop(*a)
+        )
+        good = np.arange(10.0)
+        odd = good.copy()
+        odd[4] = bad
+        for prods, conses in (([good, good], [good, odd]), ([good, odd], [good, good])):
+            with pytest.raises(ValueError, match="finite|non-negative"):
+                bounded_pipeline_batch(prods, conses, depth=2)
+        assert kernel_calls == [] and loops == []
 
 
 class TestAgainstDiscreteEventOracle:
