@@ -2,7 +2,7 @@
 
 One measurement, run as a trajectory (``main()``): the exhaustive
 campaign over the 7 Table IV datasets x {256, 512, 1024} PEs (21 units,
-12-16 s sequentially on a 2-vCPU host, so shard work dominates
+8-11 s sequentially on a 2-vCPU host, so shard work dominates
 process spawn) executed
 
 1. sequentially in-process (the reference),

@@ -18,7 +18,7 @@ al., IPDPS 2022).  The library provides:
   report helpers that regenerate every table and figure of the evaluation;
 - declarative **campaigns** (`CampaignSpec` -> `ExplorationSession` ->
   `CampaignReport`, see `repro.campaign`): multi-dataset / multi-hardware
-  exploration through one shared worker pool and store-backed warm cache,
+  exploration through one shared session and store-backed warm cache,
   with checkpointed resume (`repro campaign run --spec FILE`);
 - **distributed campaigns** (`repro.distributed`, ``repro campaign
   dist-run``): fingerprinted shard plans split one spec across
@@ -93,7 +93,6 @@ from .errors import (
     QueueFullError,
     ReproError,
     ServiceError,
-    WorkerCrashError,
 )
 from .serving import (
     DataflowServer,
@@ -177,7 +176,6 @@ __all__ = [
     "ApiUsageError",
     "CampaignError",
     "DistributedError",
-    "WorkerCrashError",
     "ServiceError",
     "BudgetExhausted",
     "QueueFullError",

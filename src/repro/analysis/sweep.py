@@ -7,15 +7,13 @@ returns tidy row dictionaries ready for :func:`repro.analysis.report.format_tabl
 All three sweeps route their runs through the
 :class:`~repro.core.evaluator.DataflowEvaluator` service: duplicate
 coordinates (each sweep's normalization baseline re-appears as a swept
-point) are answered from the memo, ``workers=N`` fans the batch out over
-worker processes with identical records, and passing a
+point) are answered from the memo, and passing a
 :class:`~repro.analysis.store.ResultStore` persists every evaluated point.
 Passing ``session=`` (an
 :class:`~repro.campaign.session.ExplorationSession`) instead shares one
-task-keyed worker pool and warm cache across sweeps, datasets, and
-hardware points — the multi-hardware sweeps (Figs. 15/16) then spawn no
-per-point pools at all, and a store-warmed session re-answers persisted
-points from disk.
+set of memos, caches and warm cache across sweeps, datasets, and
+hardware points, and a store-warmed session re-answers persisted points
+from disk.
 
 A sweep whose normalization baseline (or any swept point) is illegal on
 the given workload/hardware raises :class:`SweepError` /
@@ -52,7 +50,7 @@ class SweepBaselineError(SweepError):
     be normalized; pick a different baseline config or hardware point."""
 
 
-def _session_for(workers: int, store, session):
+def _session_for(store, session):
     """The sweep's session: the caller's, or a private one-shot session.
 
     Returns ``(session, owned)``; a private session must be closed by the
@@ -63,7 +61,7 @@ def _session_for(workers: int, store, session):
     # Imported lazily: campaign sits above analysis in the layering.
     from ..campaign.session import ExplorationSession
 
-    return ExplorationSession(workers=workers, store=store), True
+    return ExplorationSession(store=store), True
 
 
 def _require_ok(outcome: EvalOutcome, what: str, *, baseline: bool = False) -> None:
@@ -80,7 +78,6 @@ def sweep_pe_allocation(
     *,
     config_names: Sequence[str] = ("PP1", "PP3"),
     splits: Sequence[float] = (0.25, 0.5, 0.75),
-    workers: int = 0,
     store=None,
     session=None,
     record_extra: Mapping[str, Any] | None = None,
@@ -114,7 +111,7 @@ def sweep_pe_allocation(
                     {"config": name, "pe_split": split},
                 )
             )
-    ses, owned = _session_for(workers, store, session)
+    ses, owned = _session_for(store, session)
     try:
         ev = ses.evaluator(
             wl, hw, record_extra=record_extra, partition=partition
@@ -149,7 +146,6 @@ def sweep_num_pes(
     pe_counts: Sequence[int] = (512, 2048),
     config_names: Sequence[str] | None = None,
     baseline: str = "Seq1",
-    workers: int = 0,
     store=None,
     session=None,
     record_extra: Mapping[str, Any] | None = None,
@@ -161,7 +157,7 @@ def sweep_num_pes(
     2048 PEs, so relative dataflow rankings generalize across scales.
     """
     names = list(config_names) if config_names else list(PAPER_CONFIGS)
-    ses, owned = _session_for(workers, store, session)
+    ses, owned = _session_for(store, session)
     rows: list[dict] = []
     try:
         for num_pes in pe_counts:
@@ -209,7 +205,6 @@ def sweep_bandwidth(
     bandwidths: Sequence[int] = (512, 256, 128, 64),
     config_names: Sequence[str] = ("Seq1", "SP1", "PP1"),
     num_pes: int = 512,
-    workers: int = 0,
     store=None,
     session=None,
     record_extra: Mapping[str, Any] | None = None,
@@ -223,11 +218,11 @@ def sweep_bandwidth(
     """
     # The baseline: Seq1 at the first swept bandwidth when it leads the
     # sweep itself, otherwise at the widest bandwidth on offer.  One
-    # evaluator view per bandwidth point — all sharing the session's pool
-    # and memo — so the swept Seq1 at base_bw is a memo hit rather than a
+    # evaluator view per bandwidth point — all sharing the session's
+    # memo — so the swept Seq1 at base_bw is a memo hit rather than a
     # second model run.
     base_bw = bandwidths[0] if config_names[0] == "Seq1" else max(bandwidths)
-    ses, owned = _session_for(workers, store, session)
+    ses, owned = _session_for(store, session)
 
     evaluators: dict[int, object] = {}
 

@@ -183,7 +183,6 @@ def sweep(
     bandwidth: int | None = None,
     gb_kib: int | None = None,
     seed: int = 0,
-    workers: int = 0,
     store: "ResultStore | str | Path | None" = None,
     name: str = "sweep",
     partition_budget: int | None = None,
@@ -195,10 +194,9 @@ def sweep(
     whose units carry one row per config (``config``/``cycles``/... —
     what ``repro sweep`` renders).  ``store`` (a
     :class:`~repro.analysis.store.ResultStore` or a path) persists every
-    record and warm-starts repeats; ``workers`` fans evaluation out with
-    byte-identical records.  ``partition_budget`` (bytes) switches every
-    unit to block-partitioned evaluation with blocks sized to fit the
-    budget (the large-graph tier).
+    record and warm-starts repeats.  ``partition_budget`` (bytes) switches
+    every unit to block-partitioned evaluation with blocks sized to fit
+    the budget (the large-graph tier).
     """
     if datasets is None:
         targets = dataset_names()
@@ -216,7 +214,7 @@ def sweep(
             {"budget_bytes": partition_budget} if partition_budget else None
         ),
     )
-    return run_campaign(spec, workers=workers, store=store)
+    return run_campaign(spec, store=store)
 
 
 def search(
@@ -229,7 +227,6 @@ def search(
     bandwidth: int | None = None,
     gb_kib: int | None = None,
     seed: int = 0,
-    workers: int = 0,
     store: "ResultStore | str | Path | None" = None,
     name: str | None = None,
     partition_budget: int | None = None,
@@ -261,13 +258,12 @@ def search(
             {"budget_bytes": partition_budget} if partition_budget else None
         ),
     )
-    return run_campaign(spec, workers=workers, store=store)
+    return run_campaign(spec, store=store)
 
 
 def run_campaign(
     spec: "CampaignSpec | Mapping[str, Any] | str | Path",
     *,
-    workers: int = 0,
     store: "ResultStore | str | Path | None" = None,
     checkpoint: "CampaignCheckpoint | str | Path | None" = None,
     resume: bool = True,
@@ -301,7 +297,6 @@ def run_campaign(
     try:
         return _run_campaign(
             spec,
-            workers=workers,
             store=store,
             checkpoint=checkpoint,
             session=session,
@@ -340,7 +335,6 @@ def dist_run(
     *,
     workers: int = 2,
     policy: str = "round-robin",
-    shard_workers: int = 0,
     out: "str | Path | None" = None,
     checkpoint: "str | Path | None" = None,
     resume: bool = True,
@@ -365,7 +359,6 @@ def dist_run(
         spec_path,
         shards=workers,
         policy=policy,
-        shard_workers=shard_workers,
         out=out,
         checkpoint=checkpoint,
         resume=resume,

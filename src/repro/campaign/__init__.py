@@ -9,8 +9,8 @@ service, layered as ``spec -> session -> report``:
   knob sweeps) plus objective, budget, and seed.  Specs round-trip
   through plain JSON/TOML files so campaigns are versionable artifacts.
 - :class:`~repro.campaign.session.ExplorationSession` (``session.py``)
-  owns *how* candidates get evaluated: one task-keyed worker pool shared
-  by every ``(workload, hardware)`` context, per-context memos, and a
+  owns *how* candidates get evaluated: per-context memos, sparsity and
+  phase-engine caches shared by every ``(workload, hardware)`` context, and a
   :class:`~repro.analysis.store.ResultStore`-backed warm cache that
   answers previously persisted candidates from disk with zero cost-model
   runs.  ``session.evaluator(wl, hw)`` hands out thin
@@ -21,9 +21,9 @@ service, layered as ``spec -> session -> report``:
   restarts where it left off; results aggregate into a
   :class:`~repro.campaign.report.CampaignReport` (``report.py``).
 - :mod:`~repro.campaign.scheduler` (``scheduler.py``) runs the units
-  one at a time in grid order; only each unit's candidates fan out over
-  the session's worker pool, so checkpoint lines and report rows are
-  the same bytes for any worker count.
+  one at a time in grid order, so checkpoint lines and report rows are
+  the same bytes on every run; :mod:`repro.distributed` shards the unit
+  grid over processes and merges back to those same bytes.
 
 The CLI front-end is ``repro campaign run|status|report --spec FILE``;
 ``repro sweep`` and ``repro search`` delegate to one-shot specs.

@@ -73,9 +73,9 @@ class CampaignReport:
     # of the same spec — what the determinism tests and CI diff.
     stats: dict = field(default_factory=dict)
     # Cache-efficacy counters (phase-engine + tilestats hits/misses):
-    # execution accounting — with pool workers the hit/miss split depends
-    # on which worker handled which dispatch group, so these are reported
-    # but never compared across runs.
+    # execution accounting — with shards the hit/miss split depends on
+    # which shard ran which unit, so these are reported but never
+    # compared across runs.
     cache: dict = field(default_factory=dict)
     store_path: str | None = None
     store_records: int | None = None
@@ -107,7 +107,7 @@ class CampaignReport:
         """The scheduling-invariant view of this report.
 
         Everything here — unit order and row bytes — must be identical
-        whether the campaign ran serially, over a pool or sharded, fresh
+        whether the campaign ran in one process or sharded, fresh
         or resumed.  Execution accounting (``stats``, ``resumed`` flags) and
         artifact paths are excluded: they describe *how* a particular
         invocation got its answers, not the answers.  The determinism

@@ -321,7 +321,6 @@ def campaign_units(
 def run_campaign(
     spec: CampaignSpec,
     *,
-    workers: int = 0,
     store: Any | None = None,
     checkpoint: CampaignCheckpoint | None = None,
     session: ExplorationSession | None = None,
@@ -331,9 +330,8 @@ def run_campaign(
 
     ``store`` seeds the session's warm cache and receives fresh records;
     ``checkpoint`` skips completed units and journals new ones; pass an
-    existing ``session`` to share its pool/memos (``workers``/``store``
-    are then ignored).  Units run one at a time in grid order; only the
-    candidates inside a unit fan out over the pool.
+    existing ``session`` to share its memos and caches (``store`` is then
+    ignored).  Units run one at a time in grid order.
 
     ``only_units`` restricts execution to a subset of the spec's unit
     keys (grid order is preserved; the report covers only the subset).
@@ -352,7 +350,7 @@ def run_campaign(
         only_units = frozenset(only_units)
     owns_session = session is None
     if owns_session:
-        session = ExplorationSession(workers=workers, store=store)
+        session = ExplorationSession(store=store)
     try:
         units = run_units_sequential(
             spec, session, checkpoint=checkpoint, only_units=only_units
@@ -361,7 +359,7 @@ def run_campaign(
         if owns_session:
             session.close()
     # The report's ``stats`` carry only the scheduling-invariant counters
-    # (identical for any worker count); cache-efficacy counters are
+    # (identical for any shard count); cache-efficacy counters are
     # execution accounting and ride separately in ``cache``.
     stats = session.stats.as_dict()
     from ..core.evaluator import EvalStats

@@ -2,14 +2,12 @@
 
 :func:`~repro.campaign.runner.run_campaign` hands its unit grid to
 :func:`run_units_sequential`, which runs the units strictly in grid
-order through one shared session.  Parallelism lives below and above
-this layer: candidate batches fan out over the session's worker pool
-(``workers=N``), and ``repro.distributed`` shards the unit grid over
-worker processes.  Within one process, units run one at a time:
+order through one shared session.  Parallelism lives above this layer:
+``repro.distributed`` shards the unit grid over worker processes.
+Within one process, units run one at a time:
 
 - **checkpoint lines are journaled in grid order**, each as soon as its
-  unit completes, so the checkpoint file is the same bytes whatever the
-  worker count;
+  unit completes, so the checkpoint file is the same bytes on every run;
 - **report rows are deterministic** because each unit's rows are a pure
   function of the spec and the cost model;
 - **a failing unit stops the campaign**: units before it are

@@ -1,12 +1,8 @@
 """Exploration sessions (the *how* of campaign evaluation).
 
-An :class:`ExplorationSession` owns every piece of execution machinery the
+An :class:`ExplorationSession` owns every piece of execution state the
 first-generation service pinned per ``(workload, hardware)`` pair:
 
-- **one task-keyed worker pool** (:class:`~repro.core.pool.TaskKeyedPool`)
-  shared across all evaluation contexts — a multi-dataset campaign pays
-  one pool spawn total, and each context's ``(workload, hw)`` blob ships
-  to workers once, keyed by its context hash;
 - **per-context memos** shared by every evaluator view of the same
   context, so two sweeps over the same dataset within a session never
   re-cost a candidate;
@@ -15,22 +11,25 @@ first-generation service pinned per ``(workload, hardware)`` pair:
   records are indexed by fingerprint and answer repeated candidates from
   disk — a restarted campaign or a re-run
   :class:`~repro.core.optimizer.MappingOptimizer` performs zero duplicate
-  cost-model runs.
+  cost-model runs;
+- **shared caches**: one :class:`~repro.engine.tilestats.TileStats` per
+  distinct graph and one :class:`~repro.engine.phasecache.PhaseEngineCache`
+  per context.
 
+Every evaluation runs in the calling process; ``repro.distributed`` shards
+a campaign's unit grid over processes, one session per shard.
 ``session.evaluator(wl, hw)`` returns a thin
 :class:`~repro.core.evaluator.DataflowEvaluator` view; closing a view is
-a no-op, closing the session tears down the pool.
+a no-op, and a closed session hands out no new views.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Any, Mapping
 
 from ..arch.config import AcceleratorConfig
-from ..core.evaluator import DataflowEvaluator, EvalStats, _task_eval
-from ..core.pool import TaskKeyedPool
+from ..core.evaluator import DataflowEvaluator, EvalStats
 from ..core.workload import GNNWorkload
 from ..engine.phasecache import PhaseEngineCache
 from ..engine.tilestats import TileStats, TileStatsRegistry
@@ -44,13 +43,6 @@ class ExplorationSession:
 
     Parameters
     ----------
-    workers:
-        ``0`` (default) evaluates serially in-process; ``n > 0`` fans
-        uncached candidates out over an ``n``-process task-keyed pool
-        shared by **all** contexts; negative uses every CPU.  Records are
-        byte-identical regardless of the setting.
-    chunksize:
-        Candidates handed to a worker per scheduling quantum.
     store:
         Optional :class:`~repro.analysis.store.ResultStore`.  Fresh
         successful evaluations stream into it; with ``warm`` (default)
@@ -64,15 +56,9 @@ class ExplorationSession:
     def __init__(
         self,
         *,
-        workers: int = 0,
-        chunksize: int = 8,
         store: Any | None = None,
         warm: bool = True,
     ) -> None:
-        if chunksize < 1:
-            raise ValueError("chunksize must be >= 1")
-        self.workers = (os.cpu_count() or 1) if workers < 0 else workers
-        self.chunksize = chunksize
         self.store = store
         self.stats = EvalStats()
         # Guards the shared counters and warm-cache mutation when several
@@ -87,7 +73,6 @@ class ExplorationSession:
         self._warm_errors: dict[str, str] = {}
         self._tilestats = TileStatsRegistry()
         self._phase_caches: dict[str, PhaseEngineCache] = {}
-        self._pool: TaskKeyedPool | None = None
         self._closed = False
         if store is not None and warm:
             self.preload_store()
@@ -184,11 +169,8 @@ class ExplorationSession:
     def cache_counters(self) -> dict:
         """Session-wide cache-efficacy snapshot (execution accounting).
 
-        Phase-engine counters come from :class:`EvalStats` (which folds in
-        worker-side deltas); tilestats counters aggregate the registry's
-        parent-side handles.  Worker-process tilestats fills are not
-        visible here — each worker rebuilds its own sparsity cache — so
-        the tilestats line reports the coordinating process only.
+        Phase-engine counters come from :class:`EvalStats`; tilestats
+        counters aggregate the registry's handles.
         """
         with self.lock:
             ts_hits, ts_misses = self._tilestats.counters()
@@ -233,50 +215,12 @@ class ExplorationSession:
             partition=partition,
         )
 
-    # -- pool -----------------------------------------------------------
-    def map(
-        self,
-        ctx_key: str,
-        ctx: Any,
-        items: list,
-        *,
-        chunksize: int | None = None,
-    ) -> list:
-        """Fan ``items`` out over the shared pool under ``ctx_key``.
-
-        Safe to call from several threads at once (serving runs queries
-        on ``asyncio.to_thread`` workers): the pool is created exactly
-        once under the session lock, and concurrent batches share its
-        worker processes.  ``chunksize`` overrides the pool default for
-        this batch (the evaluator passes ``1``: its items are pre-packed
-        candidate groups).
-        """
-        if self._closed:
-            raise RuntimeError("session is closed")
-        with self.lock:
-            if self._closed:
-                raise RuntimeError("session is closed")
-            if self._pool is None:
-                self._pool = TaskKeyedPool(
-                    self.workers, _task_eval, chunksize=self.chunksize
-                )
-            pool = self._pool
-        pool.register(ctx_key, ctx)
-        return pool.map(ctx_key, items, chunksize=chunksize)
-
-    @property
-    def pool_started(self) -> bool:
-        return self._pool is not None and self._pool.started
-
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Shut the shared pool down (idempotent).  The store, which the
-        caller owns, is left open."""
+        """Stop handing out evaluator views (idempotent).  The store,
+        which the caller owns, is left open."""
         with self.lock:
             self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
 
     def __enter__(self) -> "ExplorationSession":
         return self

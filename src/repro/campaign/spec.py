@@ -3,8 +3,8 @@
 A :class:`CampaignSpec` is a plain, JSON/TOML-round-trippable description
 of one exploration campaign: which datasets, which hardware points, which
 candidate source, under which objective/budget/seed.  It deliberately
-contains no *execution* policy — worker counts, pools, and caches belong
-to :class:`~repro.campaign.session.ExplorationSession` — so the same spec
+contains no *execution* policy — shard counts and caches belong to the
+runners and :class:`~repro.campaign.session.ExplorationSession` — so the same spec
 file reproduces the same records on a laptop and on a 64-core box.
 """
 

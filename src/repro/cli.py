@@ -16,10 +16,9 @@ Subcommands
 ``study``      parametric crossover studies (density / skew / phase order)
 
 ``sweep``, ``search``, ``campaign`` and ``golden`` route through the
-evaluation service: ``--workers N`` fans candidates out over N processes
-(records stay byte-identical to serial), and ``--out results.jsonl``
-streams every evaluated point into a resumable, deduplicated store that
-doubles as a warm cache on the next invocation.  ``sweep`` and ``search``
+evaluation service in-process, and ``--out results.jsonl`` streams every
+evaluated point into a resumable, deduplicated store that doubles as a
+warm cache on the next invocation.  ``sweep`` and ``search``
 are one-shot campaign specs under the hood; ``campaign run --spec FILE``
 drives the full declarative pipeline with checkpointed resume.
 
@@ -34,10 +33,9 @@ Examples::
 
     python -m repro run --dataset citeseer --dataflow "PP_AC(VtFsNt, VsGsFt)"
     python -m repro sweep --dataset collab --normalize
-    python -m repro sweep --workers 4 --out runs/table5.jsonl
+    python -m repro sweep --out runs/table5.jsonl
     python -m repro search --dataset cora --objective edp --budget 200
     python -m repro campaign run --spec examples/campaign_table5.json
-    python -m repro campaign run --spec spec.json --workers 4
     python -m repro campaign status --spec examples/campaign_table5.json
     python -m repro campaign shard-plan --spec spec.json --shards 4
     python -m repro campaign dist-run --spec spec.json --workers 2
@@ -105,12 +103,6 @@ def _add_hw_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_service_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="evaluation worker processes (0 = serial, -1 = all CPUs)",
-    )
     p.add_argument(
         "--out",
         default=None,
@@ -215,13 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
         p_c.add_argument("--json", action="store_true")
         if name == "run":
             p_c.add_argument(
-                "--workers", type=int, default=0,
-                help="evaluation worker processes (0 = serial, -1 = all CPUs)",
-            )
-            p_c.add_argument(
                 "--fault-plan", default=None, metavar="JSON",
                 help="activate a deterministic fault-injection plan for "
-                "this run and its worker processes (repro faults plan)",
+                "this run (repro faults plan)",
             )
             p_c.add_argument(
                 "--no-resume",
@@ -279,10 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which shard of the plan this worker owns",
     )
     p_shard.add_argument(
-        "--workers", type=int, default=0,
-        help="evaluation worker processes inside this shard (0 = serial)",
-    )
-    p_shard.add_argument(
         "--base-store", default=None, metavar="JSONL",
         help="merged-store path the shard artifact names derive from "
         "(default: spec's 'store', else runs/<name>.jsonl)",
@@ -322,10 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dist.add_argument(
         "--policy", choices=SHARD_POLICIES, default="round-robin",
-    )
-    p_dist.add_argument(
-        "--shard-workers", type=int, default=0, metavar="M",
-        help="evaluation processes inside each shard (0 = serial)",
     )
     p_dist.add_argument(
         "--out", default=None, metavar="JSONL",
@@ -402,10 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--port", type=int, default=None,
         help="override the spec's port (0 = pick a free port)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=None,
-        help="override the spec's live-search worker processes",
     )
     p_serve.add_argument(
         "--fault-plan", default=None, metavar="JSON",
@@ -537,10 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_golden.add_argument(
         "--datasets", nargs="+", default=["mutag", "citeseer"],
         choices=dataset_names(), metavar="DS",
-    )
-    p_golden.add_argument(
-        "--workers", type=int, default=0,
-        help="evaluation worker processes (0 = serial, -1 = all CPUs)",
     )
 
     p_enum = sub.add_parser("enumerate", help="design-space counts (Table II)")
@@ -675,7 +647,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         bandwidth=args.bandwidth,
         gb_kib=args.gb_kib,
         seed=args.seed,
-        workers=args.workers,
         store=store,
         partition_budget=args.partition_budget,
     )
@@ -725,7 +696,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         bandwidth=args.bandwidth,
         gb_kib=args.gb_kib,
         seed=args.seed,
-        workers=args.workers,
         store=store,
         partition_budget=args.partition_budget,
     )
@@ -834,7 +804,6 @@ def _cmd_shard_run(spec: CampaignSpec, args: argparse.Namespace) -> int:
             spec,
             plan,
             args.shard_index,
-            workers=args.workers,
             resume=not args.no_resume,
             base_store=args.base_store,
             attempt=args.attempt,
@@ -877,7 +846,6 @@ def _cmd_dist_run(args: argparse.Namespace) -> int:
             args.spec,
             shards=args.workers,
             policy=args.policy,
-            shard_workers=args.shard_workers,
             out=args.out,
             checkpoint=args.checkpoint,
             resume=not args.no_resume,
@@ -945,12 +913,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(str(exc), file=sys.stderr)
             return 1
         try:
-            report = run_campaign(
-                spec,
-                workers=args.workers,
-                store=store,
-                checkpoint=checkpoint,
-            )
+            report = run_campaign(spec, store=store, checkpoint=checkpoint)
         finally:
             checkpoint.close()
             store.close()
@@ -1193,8 +1156,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         spec.host = args.host
     if args.port is not None:
         spec.port = args.port
-    if args.workers is not None:
-        spec.workers = args.workers
 
     def ready(server) -> None:
         # One flushed, parseable line: script clients (CI smoke) block on
@@ -1278,9 +1239,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _derive_golden_records(
-    datasets: Sequence[str], *, workers: int = 0
-) -> list[dict]:
+def _derive_golden_records(datasets: Sequence[str]) -> list[dict]:
     """Deterministically re-derive the golden record set.
 
     Mirrors ``tests/test_golden.py`` exactly: 512 PEs, every Table V
@@ -1294,7 +1253,7 @@ def _derive_golden_records(
     records: list[dict] = []
     for ds_name in datasets:
         wl = workload_from_dataset(load_dataset(ds_name))
-        with DataflowEvaluator(wl, hw, workers=workers) as ev:
+        with DataflowEvaluator(wl, hw) as ev:
             outcomes = ev.evaluate(
                 [paper_dataflow(cfg) for cfg in paper_config_names()]
             )
@@ -1313,7 +1272,7 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     from .analysis.export import read_records, record_to_json, write_records
     from .analysis.regression import compare_records
 
-    fresh = _derive_golden_records(args.datasets, workers=args.workers)
+    fresh = _derive_golden_records(args.datasets)
     path = Path(args.out)
     if args.check:
         if not path.exists():

@@ -2,12 +2,11 @@
 
 Layering (low to high): taxonomy/legality/tiling describe mappings, the
 engines cost one phase, :func:`run_gnn_dataflow` composes a layer, and
-the evaluation service (:class:`DataflowEvaluator` over a task-keyed
-:class:`~repro.core.pool.TaskKeyedPool`) batches, memoizes, and persists
-candidate runs.  The service is deliberately session-oriented: evaluators
+the evaluation service (:class:`DataflowEvaluator`) batches, memoizes,
+and persists candidate runs.  The service is deliberately session-oriented: evaluators
 are thin per-``(workload, hardware)`` views over an
 :class:`~repro.campaign.session.ExplorationSession` (see
-:mod:`repro.campaign`), which owns the shared worker pool and the
+:mod:`repro.campaign`), which owns the shared memos, caches and the
 store-backed warm cache; constructing an evaluator directly builds a
 private single-context session for backward compatibility.  The mapping
 optimizer and every sweep/campaign front-end sit on top of the service.
@@ -32,7 +31,6 @@ from .evaluator import (
     candidate_fingerprint,
     context_key,
 )
-from .pool import TaskKeyedPool
 from .granularity import GranuleSpec, granule_series, make_granule_spec
 from .interphase import RunResult, compose, compose_batch
 from .legality import (
@@ -80,7 +78,6 @@ __all__ = [
     "StreamedCandidate",
     "candidate_fingerprint",
     "context_key",
-    "TaskKeyedPool",
     "GranuleSpec",
     "granule_series",
     "make_granule_spec",

@@ -3,9 +3,10 @@
 Every exploration path in the library — the mapping optimizer, the Table V
 sweep, the Figs. 14-16 case-study sweeps, and multi-dataset campaigns —
 needs the same three things around :func:`repro.core.omega.run_gnn_dataflow`:
-fan candidate mappings out over worker processes, avoid re-costing a
-candidate that was already costed, and persist what was learned so a
-campaign can be resumed.  This module centralizes all three.
+batch candidate mappings so mapping-mates share engine runs and PP
+recurrences, avoid re-costing a candidate that was already costed, and
+persist what was learned so a campaign can be resumed.  This module
+centralizes all three.
 
 - :func:`candidate_fingerprint` derives a stable content hash of one
   ``(workload, dataflow, hardware, tiling spec)`` evaluation, the key for
@@ -16,11 +17,10 @@ campaign can be resumed.  This module centralizes all three.
   memoize exactly like hinted ones.
 - :class:`DataflowEvaluator` is a thin per-``(workload, hardware)`` view
   over an :class:`~repro.campaign.session.ExplorationSession`: the session
-  owns the task-keyed worker pool (shared across *all* contexts), the
-  per-context memos, and the warm cache; the evaluator contributes the
-  context signature and the record schema.  Constructing an evaluator
-  directly (the pre-campaign API) still works — it simply owns a private
-  single-context session.
+  owns the per-context memos, the sparsity and phase-engine caches, and
+  the warm cache; the evaluator contributes the context signature and the
+  record schema.  Constructing an evaluator directly (the pre-campaign
+  API) still works — it simply owns a private single-context session.
 - Every candidate is reported back as an :class:`EvalOutcome` — including
   illegal ones, whose :class:`~repro.core.legality.LegalityError` is
   captured rather than silently dropped, and warm-cache hits, which carry
@@ -146,8 +146,8 @@ def _context_signature(
 def context_key(
     wl: GNNWorkload, hw: AcceleratorConfig, partition: dict | None = None
 ) -> str:
-    """Stable task key of one ``(workload, hardware)`` evaluation context —
-    what the task-keyed pool and the session's per-context memos key on."""
+    """Stable key of one ``(workload, hardware)`` evaluation context —
+    what the session's per-context memos and phase caches key on."""
     blob = json.dumps(
         _context_signature(wl, hw, partition),
         sort_keys=True,
@@ -282,7 +282,7 @@ def candidate_fingerprint(
 
 
 # ----------------------------------------------------------------------
-# Worker entry points (module-level so they pickle under spawn)
+# Candidate evaluation
 # ----------------------------------------------------------------------
 
 def _tiling_kwargs(spec: TileHint | ExplicitTiles | None) -> dict:
@@ -389,32 +389,6 @@ def _error_strings(n: int, errors: list) -> list:
     return out
 
 
-def _task_eval(ctx, item):
-    """Task-keyed pool entry: ``ctx`` is the ``(workload, hw[, tilestats[,
-    phase_cache]])`` tuple the worker resolved from the task's context key.
-
-    The :class:`~repro.engine.tilestats.TileStats` and
-    :class:`~repro.engine.phasecache.PhaseEngineCache` handles ship *with*
-    the context blob: the pool caches unpickled contexts per worker
-    process, so every task of the same context keeps filling (and
-    hitting) the same worker-local sparsity and engine-result caches.
-
-    ``item`` is one dispatch group — a list of ``(idx, dataflow, spec)``
-    triples sharing (as far as the dispatcher could arrange) one phase
-    mapping.  Returns ``(results, phase_hits, phase_misses)`` where the
-    counter deltas cover exactly this group, so the parent can fold
-    worker-side cache efficacy into :class:`EvalStats`.
-    """
-    wl, hw, *rest = ctx
-    stats = rest[0] if rest else None
-    cache = rest[1] if len(rest) > 1 else None
-    partition = rest[2] if len(rest) > 2 else None
-    before = cache.counters() if cache is not None else (0, 0)
-    results = _evaluate_group(wl, hw, item, stats, cache, partition)
-    after = cache.counters() if cache is not None else (0, 0)
-    return results, after[0] - before[0], after[1] - before[1]
-
-
 # ----------------------------------------------------------------------
 # Lazy candidate pipelines
 # ----------------------------------------------------------------------
@@ -449,7 +423,7 @@ class CandidateStream:
     materialized: a million-point enumeration costs one candidate of
     memory, fingerprints are computed exactly once on the way past, and
     the evaluator's batch assembly filters warm-cache / warm-error /
-    memo hits out of the flow before any work reaches the pool.
+    memo hits out of the flow before any cost-model run.
     """
 
     def __init__(
@@ -573,13 +547,12 @@ class EvalOutcome:
 class EvalStats:
     """Running counters across an evaluator's (or session's) lifetime.
 
-    The first block is *scheduling-invariant*: identical for any worker
+    The first block is *scheduling-invariant*: identical for any shard
     count or unit interleaving of the same evaluations.  The phase-engine
-    counters are *execution accounting*: with pool workers each process
-    fills its own :class:`~repro.engine.phasecache.PhaseEngineCache`, so
-    the hit/miss split depends on which worker handled which dispatch
-    group — campaign reports surface them separately from the
-    deterministic stats for exactly this reason.
+    counters are *execution accounting*: each shard process fills its own
+    :class:`~repro.engine.phasecache.PhaseEngineCache`, so the hit/miss
+    split depends on which shard ran which unit — campaign reports surface
+    them separately from the deterministic stats for exactly this reason.
     """
 
     evaluated: int = 0  # cost-model runs actually performed
@@ -608,17 +581,11 @@ class EvalStats:
 _MemoEntry = "tuple[RunResult | None, str | None, dict | None]"
 
 
-# Warm-aware assembly keeps pulling until a full batch of *uncached* work
-# has accumulated; this factor caps how many total candidates one batch
-# may hold, bounding memory on near-fully-warm streams.
-_WARM_ASSEMBLY_FACTOR = 8
-
-# Unbudgeted serial evaluation pulls candidates in batches this wide so
-# the in-process path benefits from batched composition too (phase-result
-# sharing and the one-recurrence-per-batch PP kernel); memory stays
-# bounded because batch engine results are deduplicated by the context's
-# phase cache.
-_SERIAL_BATCH = 512
+# Unbudgeted evaluation pulls candidates in batches this wide so batched
+# composition pays off (phase-result sharing and one PP recurrence per
+# shared granule series); memory stays bounded because batch engine
+# results are deduplicated by the context's phase cache.
+_BATCH_SIZE = 512
 
 
 @dataclass
@@ -645,19 +612,10 @@ class DataflowEvaluator:
     ----------
     session:
         The :class:`~repro.campaign.session.ExplorationSession` providing
-        the worker pool, per-context memo, store, and warm cache.  When
-        omitted (the pre-campaign compatibility constructor), a private
+        the per-context memo, caches, store, and warm cache.  When omitted
+        (the pre-campaign compatibility constructor), a private
         single-context session is created from the remaining keyword
         arguments and closed with this evaluator.
-    workers:
-        ``0`` (default) evaluates serially in-process; ``n > 0`` fans
-        uncached candidates out over an ``n``-process task-keyed pool; a
-        negative value uses every available CPU.  Records are
-        byte-identical regardless of the setting.  Ignored when
-        ``session`` is given.
-    chunksize:
-        Candidates handed to a worker per scheduling quantum (ignored
-        when ``session`` is given).
     store:
         Optional :class:`~repro.analysis.store.ResultStore`; every fresh
         successful evaluation is streamed into it as an export-schema
@@ -686,8 +644,6 @@ class DataflowEvaluator:
         wl: GNNWorkload,
         hw: AcceleratorConfig,
         *,
-        workers: int = 0,
-        chunksize: int = 8,
         store: "Any | None" = None,
         warm: bool = True,
         record_extra: Mapping[str, Any] | None = None,
@@ -699,9 +655,7 @@ class DataflowEvaluator:
             # and this is the pre-campaign compatibility constructor.
             from ..campaign.session import ExplorationSession
 
-            session = ExplorationSession(
-                workers=workers, chunksize=chunksize, store=store, warm=warm
-            )
+            session = ExplorationSession(store=store, warm=warm)
             self._owns_session = True
         else:
             self._owns_session = False
@@ -735,10 +689,6 @@ class DataflowEvaluator:
 
     # -- session delegation ---------------------------------------------
     @property
-    def workers(self) -> int:
-        return self.session.workers
-
-    @property
     def store(self):
         return self.session.store
 
@@ -746,8 +696,8 @@ class DataflowEvaluator:
         """Close the private session, if this evaluator owns one.
 
         Session-provided evaluators are views; closing them is a no-op so
-        ``with session.evaluator(...)`` blocks never tear down the shared
-        pool."""
+        ``with session.evaluator(...)`` blocks never close the shared
+        session."""
         if self._owns_session:
             self.session.close()
 
@@ -816,50 +766,25 @@ class DataflowEvaluator:
         the iterator.
 
         Candidates are pulled lazily, batch by batch; memo, warm-cache,
-        and warm-error hits are filtered during batch assembly, so they
-        never reach the worker pool.  Without a budget (and with workers)
-        assembly is *warm-aware*: it keeps pulling until a full batch of
-        genuinely uncached work has accumulated, so a mostly-warm resumed
-        campaign still hands the pool full batches instead of trickles.
-
-        .. note:: **Budget truncation.**  With ``workers > 0`` candidates
-           are scheduled in whole batches, so hitting the budget
-           mid-batch can leave already-computed outcomes in the batch
-           tail.  Those outcomes are still memoized *and persisted to the
-           store*, but they are deliberately **not returned**: the
-           returned outcome list depends only on ``(candidates, budget)``
-           and stays identical between ``workers=0`` and ``workers=N``.
-           A later identical request answers them from the memo for free.
+        and warm-error hits are filtered during batch assembly, so only
+        uncached candidates reach the cost model.  An unbudgeted run pulls
+        :data:`_BATCH_SIZE` candidates at a time and composes each batch
+        as one group (shared engine runs, one PP recurrence per shared
+        series); a budgeted run pulls one candidate at a time, so it
+        evaluates *exactly* ``budget`` successes and no work past them.
         """
         it = iter(candidates)
-        workers = self.session.workers
-        if workers == 0:
-            # Serial evaluation still wants wide batches when unbudgeted:
-            # the whole batch composes as one group (shared engine runs,
-            # one PP recurrence).  A budgeted serial run keeps the
-            # historical one-at-a-time pull so it evaluates *exactly*
-            # ``budget`` successes — no tail work past the budget.
-            batch_size = 1 if budget is not None else _SERIAL_BATCH
-        else:
-            batch_size = max(32, workers * self.session.chunksize)
-        warm_aware = budget is None and workers > 0
+        batch_size = 1 if budget is not None else _BATCH_SIZE
         outcomes: list[EvalOutcome] = []
         legal = 0
-        position = 0
         while budget is None or legal < budget:
-            batch = self._assemble(it, batch_size, warm_aware)
+            batch = self._assemble(it, batch_size)
             if not batch.prepared:
                 break
-            # Drain the whole batch even past the budget: the tail was
-            # already computed, so it must reach the memo and the store
-            # (only the returned list is budget-truncated; see docstring).
-            for outcome in self._emit(batch, position):
-                if budget is not None and legal >= budget:
-                    continue
+            for outcome in self._emit(batch, len(outcomes)):
                 outcomes.append(outcome)
                 if outcome.ok:
                     legal += 1
-            position += len(batch.prepared)
         return outcomes
 
     # -- internals ------------------------------------------------------
@@ -893,21 +818,15 @@ class DataflowEvaluator:
             stats = self.session.stats
             setattr(stats, counter, getattr(stats, counter) + amount)
 
-    def _assemble(
-        self, it: Iterator, batch_size: int, warm_aware: bool
-    ) -> "_Batch":
-        """Pull and classify the next batch of candidates.
+    def _assemble(self, it: Iterator, batch_size: int) -> "_Batch":
+        """Pull and classify the next ``batch_size`` candidates.
 
         Every candidate is fingerprinted (or its streamed fingerprint
         adopted) and sorted into memo hit / warm hit / warm error /
-        pending exactly once; only ``pending`` ever reaches the pool.
-        Plain assembly pulls ``batch_size`` candidates; warm-aware
-        assembly pulls until ``batch_size`` *pending* candidates (or the
-        assembled cap) so warm streams keep the workers fed.
+        pending exactly once; only ``pending`` ever reaches the cost model.
         """
         batch = _Batch()
         prepared = batch.prepared
-        limit = batch_size * _WARM_ASSEMBLY_FACTOR if warm_aware else batch_size
         for candidate in it:
             df, spec, extra, streamed = self._unpack(candidate)
             if streamed is not None and streamed.ctx_key == self.ctx_key:
@@ -936,10 +855,7 @@ class DataflowEvaluator:
                     else:
                         batch.first_seen[fp] = i
                         batch.pending.append((i, df, spec))
-            if warm_aware:
-                if len(batch.pending) >= batch_size or len(prepared) >= limit:
-                    break
-            elif len(prepared) >= limit:
+            if len(prepared) >= batch_size:
                 break
         return batch
 
@@ -977,91 +893,13 @@ class DataflowEvaluator:
                 self._persist(outcome)
             yield outcome
 
-    @staticmethod
-    def _pack_groups(
-        pending: list[tuple[int, Dataflow, TileHint | ExplicitTiles | None]],
-        target: int,
-    ) -> list[list]:
-        """Sort pending candidates by mapping-group key and pack them into
-        dispatch groups of roughly ``target`` candidates.
-
-        A group only splits at a mapping boundary (so one mapping's
-        candidates share a worker's phase cache and compose as one batch)
-        unless it exceeds ``4 x target``, which bounds a pathological
-        single-mapping run's scheduling quantum.  Sorting is stable and
-        results are keyed by candidate index, so outcome order — and every
-        record — is unchanged by the regrouping.
-        """
-        keyed = sorted(pending, key=lambda cand: _group_key(cand[1]))
-        groups: list[list] = []
-        cur: list = []
-        cur_key = None
-        for cand in keyed:
-            key = _group_key(cand[1])
-            if cur and (
-                (len(cur) >= target and key != cur_key)
-                or len(cur) >= 4 * target
-            ):
-                groups.append(cur)
-                cur = []
-            cur.append(cand)
-            cur_key = key
-        if cur:
-            groups.append(cur)
-        return groups
-
     def _run(
         self, pending: list[tuple[int, Dataflow, TileHint | ExplicitTiles | None]]
     ) -> dict[int, tuple[RunResult | None, str | None]]:
         if not pending:
             return {}
-        if self.session.workers and len(pending) > 1:
-            # *Fresh* tilestats/phase-cache handles travel with the
-            # context blob — workers fill their own copies lazily and keep
-            # them across tasks (the pool caches context blobs per
-            # process).  Shipping the parent's accumulated caches would
-            # re-serialize every derived array per context for data
-            # workers can rebuild on demand.
-            groups = self._pack_groups(pending, self.session.chunksize)
-            ctx: tuple = (
-                self.wl,
-                self.hw,
-                TileStats(self.wl.graph),
-                PhaseEngineCache(),
-            )
-            if self.partition_plan is not None:
-                # Ship the blocks but a *fresh* per-block stats registry:
-                # workers fill their own copies (same rationale as the
-                # fresh TileStats above).
-                from ..engine.tilestats import TileStatsRegistry
-                from .partitioned import PartitionPlan
-
-                ctx = ctx + (
-                    PartitionPlan(
-                        blocks=self.partition_plan.blocks,
-                        spec=self.partition_plan.spec,
-                        registry=TileStatsRegistry(),
-                    ),
-                )
-            mapped = self.session.map(
-                self.ctx_key,
-                ctx,
-                groups,
-                chunksize=1,  # items are pre-packed groups already
-            )
-            out: dict[int, tuple[RunResult | None, str | None]] = {}
-            hits = misses = 0
-            for results, group_hits, group_misses in mapped:
-                hits += group_hits
-                misses += group_misses
-                for idx, result, error in results:
-                    out[idx] = (result, error)
-            if hits or misses:
-                self._bump("phase_hits", hits)
-                self._bump("phase_misses", misses)
-            return out
-        # Serial path: the whole pending batch is one group, sorted so
-        # mapping-mates sit together (series dedup + one PP recurrence).
+        # The whole pending batch is one group, sorted so mapping-mates
+        # sit together (series dedup + one PP recurrence).
         group = sorted(pending, key=lambda cand: _group_key(cand[1]))
         before = self.phase_cache.counters() if self.phase_cache else (0, 0)
         results = _evaluate_group(

@@ -16,10 +16,8 @@ All strategies — including the hill climb's explicit-tiling candidates,
 via :class:`~repro.core.evaluator.ExplicitTiles` — route through the
 :class:`~repro.core.evaluator.DataflowEvaluator` service, so searches are
 memoized, optionally persisted to a
-:class:`~repro.analysis.store.ResultStore`, parallelizable with
-``workers=N`` while staying record-identical to the serial path, and —
-when the evaluator's session carries a store-backed warm cache —
-resumable across processes: a second optimizer run against the same store
+:class:`~repro.analysis.store.ResultStore`, and — when the evaluator's
+session carries a store-backed warm cache — resumable across processes: a second optimizer run against the same store
 performs zero duplicate cost-model evaluations, scoring candidates from
 the persisted records instead.
 
@@ -180,7 +178,6 @@ def search_paper_configs(
     objective: str = "cycles",
     evaluator: DataflowEvaluator | None = None,
     session: "Any | None" = None,
-    workers: int = 0,
 ) -> SearchResult:
     """Evaluate the ten Table V configurations and pick the winner."""
     if objective not in OBJECTIVES:
@@ -192,7 +189,7 @@ def search_paper_configs(
     elif session is not None:
         ev, owned = session.evaluator(wl, hw), False
     else:
-        ev, owned = DataflowEvaluator(wl, hw, workers=workers), True
+        ev, owned = DataflowEvaluator(wl, hw), True
     try:
         outcomes = ev.evaluate(paper_config_stream(ev))
     finally:
@@ -230,14 +227,13 @@ class MappingOptimizer:
     All candidate evaluations flow through a single
     :class:`DataflowEvaluator`, shared across this optimizer's searches:
     repeated or overlapping searches hit its memo instead of re-running
-    the cost model, ``workers=N`` parallelizes candidate evaluation, and
-    ``store`` persists every evaluated mapping for later analysis — and,
+    the cost model, and ``store`` persists every evaluated mapping for later analysis — and,
     through the session warm cache, answers a later optimizer run's
     repeated candidates from disk.  Pass ``session=`` to draw the
     evaluator from a shared
-    :class:`~repro.campaign.session.ExplorationSession` (one worker pool
-    across many workloads); the legacy ``workers=``/``store=`` keywords
-    build a private single-context session instead.
+    :class:`~repro.campaign.session.ExplorationSession` (one set of memos
+    and caches across many workloads); the legacy ``store=`` keyword
+    builds a private single-context session instead.
     """
 
     def __init__(
@@ -246,7 +242,6 @@ class MappingOptimizer:
         hw: AcceleratorConfig,
         *,
         objective: str = "cycles",
-        workers: int = 0,
         store=None,
         evaluator: DataflowEvaluator | None = None,
         session: "Any | None" = None,
@@ -276,21 +271,20 @@ class MappingOptimizer:
             self.evaluator = DataflowEvaluator(
                 wl,
                 hw,
-                workers=workers,
                 store=store,
                 record_extra=record_extra,
                 partition=partition,
             )
 
     def close(self) -> None:
-        """Release the evaluator's worker pool (no-op for session views)."""
+        """Close the evaluator's private session (no-op for session views)."""
         self.evaluator.close()
 
     def cache_counters(self) -> dict:
         """Phase-engine cache efficacy across this optimizer's searches.
 
         ``phase_hits`` counts engine runs answered from the per-context
-        result cache (parent- and worker-side), ``phase_misses`` the runs
+        result cache, ``phase_misses`` the runs
         actually simulated — the redundancy factor the batched evaluator
         eliminates relative to one-engine-run-per-candidate.
         """
@@ -417,7 +411,7 @@ class MappingOptimizer:
         :mod:`repro.core.search`).  Streams are re-iterable and — except
         for ``"pareto"``, whose probe stage runs once on first iteration —
         materialize nothing; the evaluator filters their warm-cache /
-        memo hits during batch assembly, before the worker pool sees
+        memo hits during batch assembly, before the cost model sees
         anything.
         """
         if strategy == "paper":

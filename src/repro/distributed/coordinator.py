@@ -171,7 +171,6 @@ class DistributedCoordinator:
 
     Parameters mirror ``repro campaign dist-run``.  ``spec_path`` must
     be a spec *file* (workers re-load it; the spec never crosses a pipe).
-    ``shard_workers`` is each worker's internal evaluation-pool width.
     ``heartbeat_timeout`` declares a worker dead when its progress
     sidecar's heartbeat is older than this many seconds (a never-started
     worker gets a grace period of the same length on top).
@@ -183,7 +182,6 @@ class DistributedCoordinator:
         *,
         shards: int = 2,
         policy: str = "round-robin",
-        shard_workers: int = 0,
         out: str | Path | None = None,
         checkpoint: str | Path | None = None,
         resume: bool = True,
@@ -202,7 +200,6 @@ class DistributedCoordinator:
         self.spec = CampaignSpec.load(self.spec_path).validate()
         self.shards = shards
         self.policy = policy
-        self.shard_workers = shard_workers
         self.base_store = Path(out) if out else base_store_for(self.spec)
         if checkpoint:
             self.checkpoint_path = Path(checkpoint)
@@ -253,8 +250,6 @@ class DistributedCoordinator:
             str(plan_path_for(self.base_store)),
             "--shard-index",
             str(state.index),
-            "--workers",
-            str(self.shard_workers),
             "--base-store",
             str(self.base_store),
             "--attempt",

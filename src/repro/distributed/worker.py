@@ -209,7 +209,6 @@ def run_shard(
     plan: "ShardPlan",
     shard_index: int,
     *,
-    workers: int = 0,
     resume: bool = True,
     base_store: str | Path | None = None,
     attempt: int = 0,
@@ -219,13 +218,11 @@ def run_shard(
 ) -> tuple[CampaignReport, ShardPaths]:
     """Run (or resume) one shard's assignment; returns (report, paths).
 
-    The worker-process entry point behind ``repro campaign shard-run``.
-    ``workers`` is the *evaluation* pool width inside this shard process
-    (0 = serial), orthogonal to how many shard processes the coordinator
-    runs.  The progress sidecar ends in state ``"done"`` (with the final
-    scheduling-invariant stats) or ``"failed"`` (with the error and its
-    traceback); a killed worker just stops heartbeating, which is the
-    coordinator's cue.
+    The worker-process entry point behind ``repro campaign shard-run``;
+    its units run one at a time in this process.  The progress sidecar
+    ends in state ``"done"`` (with the final scheduling-invariant stats)
+    or ``"failed"`` (with the error and its traceback); a killed worker
+    just stops heartbeating, which is the coordinator's cue.
     """
     spec.validate()
     plan.validate_against(spec)
@@ -247,7 +244,7 @@ def run_shard(
     marks = 0
 
     store = ResultStore(paths.store, resume=resume)
-    session = ExplorationSession(workers=workers, store=store)
+    session = ExplorationSession(store=store)
     stop = threading.Event()
 
     def beat() -> None:
@@ -303,9 +300,7 @@ def run_shard(
             error={
                 "type": type(exc).__name__,
                 "message": str(exc),
-                "traceback": getattr(
-                    exc, "worker_traceback", traceback.format_exc()
-                ),
+                "traceback": traceback.format_exc(),
             },
         )
         raise

@@ -20,12 +20,10 @@ instances safe: two candidates with equal keys would have received
 value-identical results anyway, so sharing one object (and its memoized
 ``per_unit_cycles`` views) changes nothing but the work done.
 
-Like :class:`~repro.engine.tilestats.TileStats`, a cache instance is plain
-picklable state: the evaluation service owns one per evaluation context
-and ships a fresh one to task-keyed pool workers inside the context blob,
-so every candidate a worker costs for that context fills (and hits) the
-worker's own copy.  ``hits``/``misses`` counters make cache efficacy
-assertable in tests and reportable by campaigns.
+The evaluation session owns one cache per evaluation context, so every
+candidate of that context fills (and hits) the same instance.
+``hits``/``misses`` counters make cache efficacy assertable in tests and
+reportable by campaigns.
 """
 
 from __future__ import annotations

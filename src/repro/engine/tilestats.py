@@ -11,11 +11,7 @@ session — and by every session touching the same dataset.
 
 :class:`TileStats` is that cache for one graph; :class:`TileStatsRegistry`
 deduplicates instances across workload contexts by graph content digest so
-every campaign unit on the same dataset shares a single cache.  Both
-are plain picklable containers: the evaluation service ships a
-``TileStats`` to pool workers alongside the ``(workload, hardware)``
-context blob, and each worker keeps filling the same instance across
-tasks (the pool caches context blobs per process).
+every campaign unit on the same dataset shares a single cache.
 
 All entries are derived with prefix-sum / scatter-add kernels over
 ``CSRGraph.vertex_ptr`` — O(V) per miss, O(1) per hit — and every lookup

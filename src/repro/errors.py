@@ -14,7 +14,6 @@ The tree::
     ├── LegalityError (ValueError)           repro.core.legality
     │   └── SweepError                       repro.analysis.sweep
     │       └── SweepBaselineError
-    ├── WorkerCrashError                     repro.core.pool
     ├── CampaignError
     │   ├── CampaignSpecError (ValueError)   repro.campaign.spec
     │   ├── CampaignResumeError (RuntimeError) repro.campaign.runner
@@ -37,7 +36,6 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "ApiUsageError",
-    "WorkerCrashError",
     "CampaignError",
     "DistributedError",
     "ServiceError",
@@ -54,41 +52,6 @@ class ApiUsageError(ReproError, ValueError):
     """Bad arguments to a :mod:`repro.api` entry point — an unknown
     dataset name, malformed dataflow notation, and the like.  Also a
     ``ValueError`` so argument-checking call sites keep working."""
-
-
-class WorkerCrashError(ReproError):
-    """An unexpected exception escaped a pool worker process.
-
-    Raised in the *parent* in place of worker exceptions that cannot
-    cross the process boundary intact (unpicklable, or not picklable
-    round-trip).  Carries the original type name, message, and the
-    worker-side formatted traceback so evaluator/coordinator error
-    reports can show where the worker actually died.  Exceptions that
-    *do* survive pickling re-raise as themselves, annotated with a
-    ``worker_traceback`` attribute.
-    """
-
-    def __init__(
-        self, original_type: str, message: str, traceback_text: str = ""
-    ) -> None:
-        super().__init__(f"worker crashed: {original_type}: {message}")
-        self.original_type = original_type
-        self.original_message = message
-        self.worker_traceback = traceback_text
-
-    def __reduce__(self):
-        # Picklable by construction (three strings), whatever the
-        # original exception's constructor looked like.
-        return (
-            type(self),
-            (self.original_type, self.original_message, self.worker_traceback),
-        )
-
-    @classmethod
-    def from_exception(
-        cls, exc: BaseException, traceback_text: str = ""
-    ) -> "WorkerCrashError":
-        return cls(type(exc).__name__, str(exc), traceback_text)
 
 
 class CampaignError(ReproError):

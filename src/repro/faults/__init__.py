@@ -1,9 +1,9 @@
 """Deterministic fault injection + the crash-consistency harness.
 
 ``repro.faults`` wraps the I/O and process seams the library already
-has — store appends and sidecar writes, checkpoint journal marks, pool
-task dispatch, shard-worker heartbeats, serving's live search and
-admission — behind named *injection sites*.  A fingerprinted, seeded
+has — store appends and sidecar writes, checkpoint journal marks,
+shard-worker heartbeats, serving's live search and admission — behind
+named *injection sites*.  A fingerprinted, seeded
 :class:`FaultPlan` maps sites to triggers; activating it (env var or
 ``--fault-plan``) makes any failure replayable byte-for-byte.
 

@@ -187,9 +187,7 @@ def _reference_run(spec: CampaignSpec, ref_dir: Path) -> dict:
         ckpt_path, spec.fingerprint(), resume=False
     )
     try:
-        report = run_campaign(
-            spec, workers=0, store=store, checkpoint=checkpoint
-        )
+        report = run_campaign(spec, store=store, checkpoint=checkpoint)
     finally:
         checkpoint.close()
         store.close()
@@ -211,7 +209,6 @@ def _faulted_campaign(
     work: Path,
     *,
     shards: int,
-    shard_workers: int,
     heartbeat_interval: float,
     heartbeat_timeout: float,
     max_retries: int,
@@ -227,7 +224,6 @@ def _faulted_campaign(
         return DistributedCoordinator(
             spec_path,
             shards=shards,
-            shard_workers=shard_workers,
             out=work / "store.jsonl",
             checkpoint=work / "store.checkpoint.jsonl",
             resume=resume,
@@ -386,7 +382,6 @@ def run_harness(
     *,
     out_dir: str | Path,
     shards: int = 2,
-    shard_workers: int = 0,
     heartbeat_interval: float = 0.1,
     heartbeat_timeout: float = 5.0,
     max_retries: int = 3,
@@ -416,11 +411,6 @@ def run_harness(
         plan.save(plan_path)
         log_path = default_log_path(plan_path)
         activate(plan_path, log_path=log_path)
-        # pool.task lives inside a worker *pool*; a plan targeting it is
-        # unreachable under serial evaluation, so give those shards one.
-        plan_shard_workers = shard_workers
-        if shard_workers == 0 and "pool.task" in plan.triggers:
-            plan_shard_workers = 2
         first_error: str | None = None
         recovered = False
         invariants: list[InvariantCheck] = []
@@ -429,7 +419,6 @@ def run_harness(
                 spec_path,
                 work,
                 shards=shards,
-                shard_workers=plan_shard_workers,
                 heartbeat_interval=heartbeat_interval,
                 heartbeat_timeout=heartbeat_timeout,
                 max_retries=max_retries,

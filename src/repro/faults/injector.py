@@ -8,14 +8,13 @@ for the site's remaining global budget, and either
 
 - enacts a **generic** kind itself — ``raise`` (:class:`InjectedFault`),
   ``io_error``/``enospc`` (``OSError``), ``kill`` (``os._exit(137)``),
-  ``hang``/``delay`` (sleep), ``crash`` (an *unpicklable* exception, to
-  exercise the pool's cross-process crash transport) — or
+  ``hang``/``delay`` (sleep) — or
 - returns a :class:`FaultAction` for a **cooperative** kind the seam
   must implement (``torn_write``, ``short_write``, ``drop``, ``shed``),
   because only the seam can, e.g., write half a line and flush it.
 
 Activation crosses process boundaries through two environment
-variables, inherited by shard workers and pool workers alike:
+variables, inherited by shard workers:
 
 - ``REPRO_FAULT_PLAN`` — path of the plan JSON;
 - ``REPRO_FAULT_LOG`` — path of the fire journal (defaults to the plan
@@ -69,9 +68,9 @@ _DELAY_DEFAULT = 0.5
 class InjectedFault(ReproError):
     """A deliberate failure from an active fault plan.
 
-    Deliberately a :class:`ReproError` so it crosses the pool's pickle
-    transport annotated like any library error — the point is to travel
-    the *real* failure paths.
+    Deliberately a :class:`ReproError` so it travels the same failure
+    paths as any library error — the point is to exercise the *real*
+    ones.
     """
 
     def __init__(self, site: str, kind: str, hit: int) -> None:
@@ -82,18 +81,9 @@ class InjectedFault(ReproError):
 
     def __reduce__(self):
         # args holds the rendered message, not the ctor signature, so
-        # spell the rebuild out — otherwise a pool-worker fire would be
-        # unpicklable and come home wrapped as WorkerCrashError.
+        # spell the rebuild out — otherwise it would not survive a pickle
+        # round trip.
         return (type(self), (self.site, self.kind, self.hit), dict(self.__dict__))
-
-
-def _unpicklable_crash(site: str, hit: int) -> BaseException:
-    # A locally-defined class cannot be found by qualified name on
-    # unpickle, so this exercises WorkerCrashError's fallback transport.
-    class InjectedWorkerCrash(Exception):
-        pass
-
-    return InjectedWorkerCrash(f"injected worker crash at {site} (hit={hit})")
 
 
 @dataclass(frozen=True)
@@ -203,8 +193,6 @@ class FaultInjector:
             raise OSError(
                 _errno.ENOSPC, f"injected ENOSPC at {site} (hit={hit})"
             )
-        if kind == "crash":
-            raise _unpicklable_crash(site, hit)
         if kind == "kill":
             os._exit(KILL_EXIT_CODE)
         if kind == "hang":
@@ -313,7 +301,7 @@ def fault_point(site: str) -> FaultAction | None:
     """The one call every instrumented seam makes.
 
     Free when no plan is active.  May raise (``raise``/``io_error``/
-    ``enospc``/``crash``), sleep (``delay``/``hang``), exit the process
+    ``enospc``), sleep (``delay``/``hang``), exit the process
     (``kill``), or return a cooperative :class:`FaultAction`.
     """
     inj = active_injector()

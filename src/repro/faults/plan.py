@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` maps *injection sites* — named I/O and process
 seams the library already has (store appends, index sidecar writes,
-checkpoint journal marks, pool task dispatch, worker heartbeats,
+checkpoint journal marks, worker heartbeats,
 serving's live search, ...) — to seeded triggers.  Like
 :class:`~repro.distributed.shardplan.ShardPlan`, a plan is a value: it
 round-trips through JSON, carries its own content fingerprint, and
@@ -50,7 +50,7 @@ __all__ = [
 FAULT_PLAN_SCHEMA = 1
 
 # site name -> kinds that seam knows how to enact.  Generic kinds
-# (raise / io_error / enospc / kill / hang / delay / crash) are enacted
+# (raise / io_error / enospc / kill / hang / delay) are enacted
 # by the injector itself; cooperative kinds (torn_write / short_write /
 # drop / shed) are returned to the seam, which implements the effect.
 SITES: dict[str, tuple[str, ...]] = {
@@ -61,8 +61,6 @@ SITES: dict[str, tuple[str, ...]] = {
     # campaign/runner.py -- the checkpoint journal + stats sidecar
     "checkpoint.mark": ("torn_write", "io_error"),
     "checkpoint.stats": ("drop", "io_error"),
-    # core/pool.py -- task dispatch inside a pool worker process
-    "pool.task": ("raise", "crash"),
     # distributed/worker.py -- shard worker lifecycle
     "worker.start": ("delay", "kill"),
     "worker.heartbeat": ("kill", "hang", "delay"),
@@ -321,7 +319,6 @@ _RANDOM_POOL: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("store.append", ("torn_write", "short_write", "enospc")),
     ("store.index_write", ("drop",)),
     ("checkpoint.mark", ("torn_write",)),
-    ("pool.task", ("raise", "crash")),
     ("worker.start", ("delay",)),
     ("worker.heartbeat", ("kill",)),
 )

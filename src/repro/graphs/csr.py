@@ -86,9 +86,7 @@ class CSRGraph:
         """Memoize a ptr-derived view on this (frozen, immutable) graph.
 
         The cost model re-reads ``degrees``/``max_degree`` once per
-        candidate, so derived views are computed once and pinned.  The
-        cache is an ordinary instance attribute excluded from pickling
-        (see :meth:`__getstate__`) so shipped context blobs stay lean.
+        candidate, so derived views are computed once and pinned.
         """
         cache = self.__dict__.get("_derived")
         if cache is None:
@@ -102,12 +100,6 @@ class CSRGraph:
                 value.setflags(write=False)
             cache[key] = value
         return cache[key]
-
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_derived"}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     @property
     def num_vertices(self) -> int:

@@ -127,7 +127,8 @@ class DataflowService:
         Feature-distance threshold for non-exact index hits; a nearest
         entry farther than this is treated as a miss (live search).
     workers:
-        Worker processes for the shared session (``0`` = in-process).
+        Kept for existing callers: must be ``0``, since every evaluation
+        runs in-process.
     search_deadline:
         Watchdog deadline (seconds) a *coalesced* caller waits on the
         leader's in-flight live search.  A leader that hangs or crawls
@@ -157,6 +158,10 @@ class DataflowService:
             )
         if live_budget is not None and live_budget < 1:
             raise ServiceError("live_budget must be >= 1 (or None)")
+        if workers != 0:
+            raise ServiceError(
+                f"workers must be 0 (evaluation runs in-process), got {workers}"
+            )
         self.objective = objective
         self.strategy = strategy
         self.live_budget = live_budget
@@ -170,7 +175,7 @@ class DataflowService:
         self.store: ResultStore | None = (
             ResultStore(store) if self._owns_store else store
         )
-        self.session = ExplorationSession(workers=workers, store=self.store)
+        self.session = ExplorationSession(store=self.store)
         self.index = ParetoIndex(seed=seed)
         if self.store is not None:
             self.index.add_records(self.store.records())

@@ -51,7 +51,6 @@ class ServeSpec:
     live_budget: int | None = 32
     max_distance: float = 0.5
     max_staleness: float | None = None
-    workers: int = 0
     seed: int = 0
     host: str = "127.0.0.1"
     port: int = 8077
@@ -106,7 +105,6 @@ class ServeSpec:
             "live_budget": self.live_budget,
             "max_distance": self.max_distance,
             "max_staleness": self.max_staleness,
-            "workers": self.workers,
             "seed": self.seed,
             "host": self.host,
             "port": self.port,
@@ -123,8 +121,8 @@ class ServeSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "ServeSpec":
         known = {
             "name", "store", "attach", "objective", "strategy",
-            "live_budget", "max_distance", "max_staleness", "workers",
-            "seed", "host", "port", "timeout", "max_queue",
+            "live_budget", "max_distance", "max_staleness", "seed",
+            "host", "port", "timeout", "max_queue",
         }
         unknown = set(data) - known
         if unknown:
@@ -148,7 +146,6 @@ class ServeSpec:
                     if data.get("max_staleness") is None
                     else float(data["max_staleness"])
                 ),
-                workers=int(data.get("workers", 0)),
                 seed=int(data.get("seed", 0)),
                 host=str(data.get("host", "127.0.0.1")),
                 port=int(data.get("port", 8077)),
@@ -196,6 +193,5 @@ class ServeSpec:
             live_budget=self.live_budget,
             max_distance=self.max_distance,
             max_staleness=self.max_staleness,
-            workers=self.workers,
             seed=self.seed,
         )

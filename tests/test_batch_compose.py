@@ -24,7 +24,6 @@ from repro.core.evaluator import DataflowEvaluator, _group_key
 from repro.core.interphase import compose, compose_batch
 from repro.core.legality import LegalityError
 from repro.core.omega import prepare_phases, run_gnn_dataflow
-from repro.core.optimizer import MappingOptimizer
 from repro.core.taxonomy import InterPhase
 from repro.core.workload import workload_from_dataset
 from repro.engine.phasecache import PhaseEngineCache
@@ -183,17 +182,6 @@ class TestBatchedEvaluatorEquality:
             if want.result is not None:
                 assert record_bytes(got.result) == record_bytes(want.result)
 
-    def test_workers_match_serial_with_grouped_dispatch(self, wl, hw):
-        with MappingOptimizer(wl, hw, workers=2) as par:
-            par_res = par.exhaustive()
-            counters = par.cache_counters()
-        with MappingOptimizer(wl, hw) as ser:
-            ser_res = ser.exhaustive()
-        assert par_res.history == ser_res.history
-        assert par_res.best_score == ser_res.best_score
-        # Worker-side phase-cache deltas flowed back into EvalStats.
-        assert counters["phase_hits"] + counters["phase_misses"] > 0
-
     def test_budgeted_serial_evaluation_unchanged(self, wl, hw):
         """Budgeted serial runs keep the historical exact-budget pull."""
         ev = DataflowEvaluator(wl, hw)
@@ -203,24 +191,6 @@ class TestBatchedEvaluatorEquality:
 
 
 class TestDispatchGrouping:
-    def test_pack_groups_respects_mapping_boundaries(self, wl, hw):
-        pending = []
-        for i, df in enumerate(enumerate_design_space()):
-            if i >= 64:
-                break
-            pending.append((i, df, None))
-        groups = DataflowEvaluator._pack_groups(pending, 8)
-        # Every candidate lands in exactly one group, order within a
-        # mapping preserved; indices cover the batch exactly.
-        flat = [idx for group in groups for idx, _, _ in group]
-        assert sorted(flat) == list(range(64))
-        for group in groups:
-            assert len(group) <= 32  # 4 x target cap
-            keys = [_group_key(df) for _, df, _ in group]
-            # groups are key-sorted runs: at most a trailing key change
-            # when a short mapping run was packed with the next one
-            assert keys == sorted(keys)
-
     def test_group_key_separates_pe_splits(self, wl):
         pps = [df for df in enumerate_design_space() if df.inter is InterPhase.PP]
         df = pps[0]

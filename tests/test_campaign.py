@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.analysis.export import record_to_json
 from repro.analysis.store import ResultStore
 from repro.arch.config import AcceleratorConfig
 from repro.campaign import (
@@ -167,7 +166,7 @@ class TestSpec:
 
 
 # ----------------------------------------------------------------------
-# ExplorationSession: warm cache + cross-context pool reuse
+# ExplorationSession: warm cache + shared memos
 # ----------------------------------------------------------------------
 
 class TestSession:
@@ -191,28 +190,6 @@ class TestSession:
         assert [o.cycles for o in again] == cycles
         assert all(o.record is not None and o.result is None for o in again)
 
-    def test_one_pool_two_workloads_matches_serial(
-        self, wl, wl2, hw, paper_candidates
-    ):
-        def records(session):
-            lines = []
-            for workload in (wl, wl2):
-                ev = session.evaluator(
-                    workload, hw, record_extra={"dataset": workload.name}
-                )
-                for o in ev.evaluate(paper_candidates):
-                    lines.append(record_to_json(ev.to_record(o)))
-            return lines
-
-        with ExplorationSession(workers=0) as serial_session:
-            serial = records(serial_session)
-        with ExplorationSession(workers=2) as shared:
-            parallel = records(shared)
-            # both workloads' batches ran through the same pool
-            assert shared.pool_started
-            assert shared.stats.evaluated == 2 * len(paper_candidates)
-        assert serial == parallel
-
     def test_memo_shared_between_views_of_same_context(
         self, wl, hw, paper_candidates
     ):
@@ -229,15 +206,6 @@ class TestSession:
         session.close()
         with pytest.raises(RuntimeError):
             session.evaluator(wl, hw)
-
-    def test_closed_session_refuses_pool_dispatch(
-        self, wl, hw, paper_candidates
-    ):
-        # A stale evaluator view must not respawn a pool after close().
-        with ExplorationSession(workers=2) as session:
-            stale = session.evaluator(wl, hw)
-        with pytest.raises(RuntimeError, match="closed"):
-            stale.evaluate(paper_candidates)
 
     def test_warm_cache_skips_older_schema_records(
         self, wl, hw, paper_candidates, tmp_path
@@ -498,7 +466,7 @@ class TestRunCampaign:
 
 
 # ----------------------------------------------------------------------
-# Unit execution: grid order, byte-stable artifacts for any worker count
+# Unit execution: grid order, byte-stable artifacts across kill and resume
 # ----------------------------------------------------------------------
 
 def sched_spec(**overrides) -> CampaignSpec:
@@ -527,41 +495,10 @@ def store_lines(tmp_path, tag):
 
 
 class TestScheduler:
-    def test_pool_matches_serial_byte_for_byte(self, tmp_path):
-        spec = sched_spec()
-        serial = run_with_artifacts(tmp_path, "serial", spec, workers=0)
-        pooled = run_with_artifacts(tmp_path, "pooled", spec, workers=1)
-
-        assert pooled.canonical_json() == serial.canonical_json()
-        assert pooled.digest() == serial.digest()
-        assert pooled.stats == serial.stats
-        assert (tmp_path / "pooled.ckpt.jsonl").read_bytes() == (
-            tmp_path / "serial.ckpt.jsonl"
-        ).read_bytes()
-        assert store_lines(tmp_path, "pooled") == store_lines(
-            tmp_path, "serial"
-        )
-
-    def test_pool_matches_serial_with_multi_hardware_grid(self, tmp_path):
-        spec = sched_spec(
-            datasets=["mutag", "proteins"],
-            hardware=[
-                HardwarePoint(num_pes=256),
-                HardwarePoint(num_pes=512, label="big"),
-            ],
-        )
-        serial = run_with_artifacts(tmp_path, "serial", spec, workers=0)
-        pooled = run_with_artifacts(tmp_path, "pooled", spec, workers=1)
-        assert pooled.canonical_json() == serial.canonical_json()
-        assert store_lines(tmp_path, "pooled") == store_lines(
-            tmp_path, "serial"
-        )
-
     def test_label_aliased_hardware_points_share_one_memo(self, tmp_path):
         """Two hardware points differing only by label share one evaluation
         context (labels are presentation-level), hence one memo: the
-        second label's unit is answered from the first one's memo, with
-        or without the pool."""
+        second label's unit is answered from the first one's memo."""
         spec = sched_spec(
             datasets=["mutag", "proteins"],
             hardware=[
@@ -569,28 +506,27 @@ class TestScheduler:
                 HardwarePoint(num_pes=512, label="b"),
             ],
         )
-        serial = run_with_artifacts(tmp_path, "serial", spec, workers=0)
-        pooled = run_with_artifacts(tmp_path, "pooled", spec, workers=1)
-        assert pooled.canonical_json() == serial.canonical_json()
-        assert pooled.stats == serial.stats
+        report = run_with_artifacts(tmp_path, "run", spec)
         # the alias unit was answered from the memo, not re-evaluated
-        assert pooled.stats["cache_hits"] == 2 * len(PAPER_CONFIGS)
-        assert pooled.stats["evaluated"] == 2 * len(PAPER_CONFIGS)
+        assert report.stats["cache_hits"] == 2 * len(PAPER_CONFIGS)
+        assert report.stats["evaluated"] == 2 * len(PAPER_CONFIGS)
         # and only the first-in-grid label's records were persisted
-        assert store_lines(tmp_path, "pooled") == store_lines(
-            tmp_path, "serial"
-        )
+        assert len(store_lines(tmp_path, "run")) == 2 * len(PAPER_CONFIGS)
+        # both labels' units carry the same rows
+        by_label = {(u.dataset, u.hw): u.rows for u in report.units}
+        for ds in spec.datasets:
+            assert by_label[(ds, "a")] == by_label[(ds, "b")]
 
-    def test_killed_pooled_campaign_resumes_byte_identical(
+    def test_killed_campaign_resumes_byte_identical(
         self, tmp_path, monkeypatch
     ):
-        """Kill-and-resume over the pool: the replay must converge on the
+        """Kill-and-resume: the replay must converge on the
         uninterrupted run's exact checkpoint and report, with zero
         duplicate cost-model evaluations across the two attempts."""
         import repro.campaign.scheduler as scheduler
 
         spec = sched_spec()
-        reference = run_with_artifacts(tmp_path, "ref", spec, workers=1)
+        reference = run_with_artifacts(tmp_path, "ref", spec)
 
         real = scheduler.run_unit
 
@@ -603,7 +539,7 @@ class TestScheduler:
         store = ResultStore(tmp_path / "run.jsonl")
         ckpt = CampaignCheckpoint(tmp_path / "run.ckpt.jsonl", spec.fingerprint())
         with pytest.raises(RuntimeError, match="simulated"):
-            run_campaign(spec, workers=1, store=store, checkpoint=ckpt)
+            run_campaign(spec, store=store, checkpoint=ckpt)
         ckpt.close()
         store.close()
         persisted_before = len(ResultStore(tmp_path / "run.jsonl"))
@@ -616,7 +552,7 @@ class TestScheduler:
         monkeypatch.setattr(scheduler, "run_unit", real)
         store = ResultStore(tmp_path / "run.jsonl")
         ckpt = CampaignCheckpoint(tmp_path / "run.ckpt.jsonl", spec.fingerprint())
-        resumed = run_campaign(spec, workers=1, store=store, checkpoint=ckpt)
+        resumed = run_campaign(spec, store=store, checkpoint=ckpt)
         ckpt.close()
         store.close()
 
@@ -633,7 +569,7 @@ class TestScheduler:
         assert resumed.stats["evaluated"] == total - persisted_before
         assert resumed.stats["warm_hits"] == persisted_before - len(PAPER_CONFIGS)
 
-    def test_failing_unit_propagates_through_pool(self, tmp_path):
+    def test_failing_unit_propagates(self, tmp_path):
         # 1 PE: the table5 units themselves raise LegalityError.
         from repro.core.legality import LegalityError
 
@@ -641,19 +577,7 @@ class TestScheduler:
             datasets=["mutag"], hardware=[HardwarePoint(num_pes=1)]
         )
         with pytest.raises(LegalityError):
-            run_campaign(spec, workers=1)
-
-    def test_pooled_resume_from_checkpoint_is_free(self, tmp_path):
-        spec = sched_spec(datasets=["mutag", "proteins"])
-        run_with_artifacts(tmp_path, "a", spec, workers=1)
-        store = ResultStore(tmp_path / "a.jsonl")
-        ckpt = CampaignCheckpoint(tmp_path / "a.ckpt.jsonl", spec.fingerprint())
-        again = run_campaign(spec, workers=1, store=store, checkpoint=ckpt)
-        ckpt.close()
-        store.close()
-        assert again.resumed_units == len(again.units)
-        assert again.stats["evaluated"] == 0
-
+            run_campaign(spec)
 
 # ----------------------------------------------------------------------
 # Campaign CLI

@@ -103,18 +103,6 @@ class TestSweep:
         data = json.loads(out)
         assert "mutag" in data and "SP2" in data["mutag"]
 
-    def test_parallel_matches_serial(self, capsys):
-        serial = json.loads(
-            run_cli(capsys, "sweep", "--dataset", "mutag", "--json")
-        )
-        parallel = json.loads(
-            run_cli(
-                capsys, "sweep", "--dataset", "mutag", "--json",
-                "--workers", "2",
-            )
-        )
-        assert serial == parallel
-
     def test_out_store_written_and_resumed(self, capsys, tmp_path):
         out_path = tmp_path / "t5.jsonl"
         run_cli(

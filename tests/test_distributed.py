@@ -9,7 +9,6 @@ zero duplicate cost-model evaluations on recovery.
 from __future__ import annotations
 
 import json
-import pickle
 
 import pytest
 
@@ -34,12 +33,7 @@ from repro.distributed import (
 )
 from repro.distributed.merge import assemble_report
 from repro.distributed.worker import ShardFailureInjected
-from repro.errors import (
-    CampaignError,
-    DistributedError,
-    ReproError,
-    WorkerCrashError,
-)
+from repro.errors import CampaignError, DistributedError
 
 
 def dist_spec(**overrides) -> CampaignSpec:
@@ -239,10 +233,10 @@ class TestOnlyUnits:
         with pytest.raises(CampaignError, match="unknown unit key"):
             run_campaign(dist_spec(), only_units={"qm9@pes512"})
 
-    def test_pooled_run_honours_selection(self, tmp_path):
+    def test_selection_keeps_grid_order(self, tmp_path):
         spec = grid_spec()
         only = {"mutag@pes256", "citeseer@pes512"}
-        report = run_campaign(spec, workers=1, only_units=only)
+        report = run_campaign(spec, only_units=only)
         done = [f"{u.dataset}@{u.hw}" for u in report.units]
         assert done == [k for k in spec.unit_keys() if k in only]
 
@@ -486,61 +480,6 @@ class TestCoordinator:
         with pytest.raises(DistributedError, match="retries exhausted"):
             coordinator.run()
         assert [a.outcome for a in coordinator.attempts] == ["failed"] * 2
-
-
-# ----------------------------------------------------------------------
-# Worker-pool exception transport (satellite: crash wrapping)
-# ----------------------------------------------------------------------
-
-class _Unpicklable(Exception):
-    def __init__(self, handle):
-        super().__init__("boom")
-        self.handle = handle
-
-    def __reduce__(self):
-        raise TypeError("cannot pickle a live handle")
-
-
-def _fn_raise_repro(ctx, item):
-    raise ReproError(f"bad item {item!r}")
-
-
-def _fn_raise_unpicklable(ctx, item):
-    raise _Unpicklable(object())
-
-
-class TestWorkerCrashTransport:
-    def test_repro_error_crosses_pool_with_traceback(self):
-        from repro.core.pool import TaskKeyedPool
-
-        with TaskKeyedPool(1, _fn_raise_repro) as pool:
-            pool.register("k", None)
-            with pytest.raises(ReproError, match="bad item") as info:
-                pool.map("k", [1])
-        assert not isinstance(info.value, WorkerCrashError)
-        assert "_fn_raise_repro" in info.value.worker_traceback
-
-    def test_unpicklable_exception_wrapped_as_worker_crash(self):
-        from repro.core.pool import TaskKeyedPool
-
-        with TaskKeyedPool(1, _fn_raise_unpicklable) as pool:
-            pool.register("k", None)
-            with pytest.raises(WorkerCrashError) as info:
-                pool.map("k", [1])
-        exc = info.value
-        assert isinstance(exc, ReproError)
-        assert exc.original_type == "_Unpicklable"
-        assert exc.original_message == "boom"
-        assert "_fn_raise_unpicklable" in exc.worker_traceback
-
-    def test_worker_crash_error_survives_pickling(self):
-        exc = WorkerCrashError("ValueError", "nope", "Traceback ...")
-        clone = pickle.loads(pickle.dumps(exc))
-        assert isinstance(clone, WorkerCrashError)
-        assert clone.original_type == "ValueError"
-        assert clone.original_message == "nope"
-        assert clone.worker_traceback == "Traceback ..."
-        assert "worker crashed: ValueError: nope" in str(clone)
 
 
 # ----------------------------------------------------------------------

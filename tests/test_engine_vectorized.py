@@ -316,33 +316,6 @@ class TestTileStatsCache:
             assert ev.tilestats.misses - misses_first < misses_first
 
 
-class TestPoolContextShipping:
-    def test_tilestats_rides_the_context_blob(self):
-        """The (wl, hw, stats) tuple spools once per context key and maps
-        candidates through workers without re-deriving the signature."""
-        from repro.core.configs import paper_dataflow
-        from repro.core.evaluator import _task_eval, context_key
-        from repro.core.pool import TaskKeyedPool
-        from repro.core.workload import workload_from_dataset
-        from repro.graphs.datasets import load_dataset
-
-        wl = workload_from_dataset(load_dataset("mutag"))
-        hw = AcceleratorConfig(num_pes=512)
-        key = context_key(wl, hw)
-        with TaskKeyedPool(1, _task_eval) as pool:
-            assert pool.registered_keys == frozenset()
-            pool.register(key, (wl, hw, TileStats(wl.graph)))
-            assert pool.registered_keys == frozenset({key})
-            df, hint = paper_dataflow("SP1")
-            # Items are dispatch *groups* of (idx, df, spec) triples; each
-            # task returns its results plus phase-cache counter deltas.
-            results, hits, misses = pool.map(key, [[(0, df, hint)]])[0]
-            idx, result, error = results[0]
-            assert idx == 0 and error is None and result.total_cycles > 0
-            assert (hits, misses) == (0, 0)  # no cache in this ctx blob
-        assert pool.registered_keys == frozenset()  # close clears the spool
-
-
 class TestVectorizedPipelineEdgeCases:
     def test_empty_sequences(self):
         hw = AcceleratorConfig(num_pes=8, dist_bw=3, red_bw=5)

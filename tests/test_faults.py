@@ -21,14 +21,12 @@ import pytest
 from repro.analysis.store import ResultStore
 from repro.campaign.runner import CampaignCheckpoint
 from repro.cli import main
-from repro.core.pool import TaskKeyedPool
 from repro.distributed import DistributedCoordinator
 from repro.distributed.coordinator import load_coordinator_state
 from repro.errors import (
     BudgetExhausted,
     DistributedError,
     ReproError,
-    WorkerCrashError,
 )
 from repro.faults import injector as fault_injector
 from repro.faults.harness import run_harness
@@ -139,7 +137,7 @@ class TestFaultPlan:
 
     def test_times_null_is_unlimited(self):
         trig = FaultTrigger.from_dict(
-            "pool.task", {"kind": "raise", "times": None}
+            "serving.live_search", {"kind": "raise", "times": None}
         )
         assert trig.times is None
 
@@ -173,23 +171,23 @@ class TestFaultPlan:
 
 class TestInjector:
     def test_after_and_times_budget(self, tmp_path):
-        plan = one_site_plan("pool.task", "raise", after=2, times=1)
+        plan = one_site_plan("serving.live_search", "raise", after=2, times=1)
         inj = FaultInjector(plan, tmp_path / "log.jsonl")
-        assert inj.check("pool.task") is None  # hit 1 < after
+        assert inj.check("serving.live_search") is None  # hit 1 < after
         with pytest.raises(InjectedFault) as exc:
-            inj.check("pool.task")  # hit 2 fires
+            inj.check("serving.live_search")  # hit 2 fires
         assert (exc.value.site, exc.value.kind, exc.value.hit) == (
-            "pool.task", "raise", 2,
+            "serving.live_search", "raise", 2,
         )
-        assert inj.check("pool.task") is None  # budget spent
+        assert inj.check("serving.live_search") is None  # budget spent
         events = read_events(tmp_path / "log.jsonl")
         assert len(events) == 1
-        assert events[0]["site"] == "pool.task"
+        assert events[0]["site"] == "serving.live_search"
         assert events[0]["plan"] == plan.fingerprint()
 
     def test_unlisted_site_is_free(self, tmp_path):
         inj = FaultInjector(
-            one_site_plan("pool.task", "raise"), tmp_path / "log.jsonl"
+            one_site_plan("serving.live_search", "raise"), tmp_path / "log.jsonl"
         )
         assert inj.check("store.append") is None
 
@@ -243,10 +241,10 @@ class TestInjector:
         assert exc.value.errno == errno.ENOSPC
 
     def test_injected_fault_pickles_intact(self):
-        err = InjectedFault("pool.task", "raise", 3)
+        err = InjectedFault("serving.live_search", "raise", 3)
         back = pickle.loads(pickle.dumps(err))
         assert type(back) is InjectedFault
-        assert (back.site, back.kind, back.hit) == ("pool.task", "raise", 3)
+        assert (back.site, back.kind, back.hit) == ("serving.live_search", "raise", 3)
         assert isinstance(back, ReproError)
 
     def test_activate_env_round_trip(self, tmp_path):
@@ -445,49 +443,6 @@ class TestCheckpointSeams:
         ckpt.mark("u2", {"rows": []}, counters={"hits": 5})
         assert ckpt.stats_path.exists()  # budget spent: next write lands
         ckpt.close()
-
-
-# ----------------------------------------------------------------------
-# Pool seam (cross-process transport of injected failures)
-# ----------------------------------------------------------------------
-
-def _scale(ctx, item):
-    return ctx * item
-
-
-class TestPoolSeam:
-    def test_injected_raise_crosses_pool_annotated(self, tmp_path):
-        activate(
-            one_site_plan("pool.task", "raise"),
-            log_path=tmp_path / "log.jsonl",
-        )
-        pool = TaskKeyedPool(2, _scale)
-        try:
-            pool.register("k", 3)
-            with pytest.raises(InjectedFault) as exc:
-                pool.map("k", [1, 2, 3, 4])
-            assert exc.value.site == "pool.task"
-            assert pool.map("k", [1, 2]) == [3, 6]  # budget spent: pool lives
-        finally:
-            pool.close()
-            deactivate()
-        events = read_events(tmp_path / "log.jsonl")
-        assert [e["site"] for e in events] == ["pool.task"]
-
-    def test_injected_crash_becomes_worker_crash_error(self, tmp_path):
-        activate(
-            one_site_plan("pool.task", "crash"),
-            log_path=tmp_path / "log.jsonl",
-        )
-        pool = TaskKeyedPool(2, _scale)
-        try:
-            pool.register("k", 2)
-            with pytest.raises(WorkerCrashError) as exc:
-                pool.map("k", [1, 2, 3, 4])
-            assert "InjectedWorkerCrash" in str(exc.value)
-        finally:
-            pool.close()
-            deactivate()
 
 
 # ----------------------------------------------------------------------

@@ -247,6 +247,15 @@ class TestDataflowService:
             assert stats["index_hits"] == 1
             assert stats["live_searches"] == 1
 
+    def test_workers_keyword_accepts_only_zero(self, tmp_path):
+        # Every evaluation runs in-process; the keyword stays for callers
+        # that pass workers=0.
+        with DataflowService(store=tmp_path / "s.jsonl", workers=0):
+            pass
+        for workers in (1, 2, -1):
+            with pytest.raises(ServiceError, match="workers must be 0"):
+                DataflowService(store=tmp_path / "s.jsonl", workers=workers)
+
     def test_restart_from_store_is_warm(self, tmp_path, mutag_graph):
         path = tmp_path / "s.jsonl"
         with DataflowService(store=path, live_budget=8) as svc:
@@ -458,6 +467,10 @@ class TestServeSpec:
         with pytest.raises(ServeSpecError):
             ServeSpec.from_dict({"name": "svc", "store": "s.jsonl",
                                  "livebudget": 4})
+        # ``workers`` is not a spec field: evaluation runs in-process.
+        with pytest.raises(ServeSpecError, match="workers"):
+            ServeSpec.from_dict({"name": "svc", "store": "s.jsonl",
+                                 "workers": 0})
 
     def test_validation_errors(self):
         base = dict(name="svc", store="s.jsonl")
