@@ -4,20 +4,15 @@
 One measurement, appended to the ``BENCH_scale.json`` trajectory at the
 repo root (override with ``--out``): a seeded RMAT power-law graph
 (``--vertices``, default one million) evaluated block-partitioned
-(``{"budget_bytes": --partition-budget}``) under an enforced
-``TileStats`` byte budget (``--budget``, exported as
-``REPRO_TILESTATS_BUDGET`` for the run).  Records generation and
-evaluation wall-clock, block count, peak process RSS, and the registry's
-memory counters.
-
-``--check`` exits non-zero unless the budget held: the run's aggregate
-``peak_nbytes <= --budget``.  ``--vertices 50000`` keeps the CI smoke
-cheap.
+(``{"budget_bytes": --partition-budget}``).  Records generation and
+evaluation wall-clock, block count, peak process RSS, and the per-block
+sparsity caches' hit/miss counters.  ``--vertices 50000`` keeps the CI
+smoke cheap.
 
 Run from the repo root::
 
-    PYTHONPATH=src python benchmarks/bench_scale.py --check
-    PYTHONPATH=src python benchmarks/bench_scale.py --vertices 50000 --check
+    PYTHONPATH=src python benchmarks/bench_scale.py
+    PYTHONPATH=src python benchmarks/bench_scale.py --vertices 50000
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ import argparse
 import json
 import os
 import resource
-import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -43,7 +37,6 @@ from repro.graphs.generators import web_scale
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 DEFAULT_VERTICES = 1_000_000
 EDGES_PER_VERTEX = 16
-DEFAULT_BUDGET = 1 << 26  # 64 MiB of cached sparsity statistics
 DEFAULT_PARTITION_BUDGET = 1 << 26  # per-block streamed working set
 DATAFLOW = "Seq_AC(VsNtFt, VsGtFt)"
 IN_FEATURES = 32
@@ -58,7 +51,6 @@ def _peak_rss_mib() -> float:
 def bench_large_graph(
     vertices: int,
     edges: int,
-    budget: int,
     partition_budget: int,
     seed: int,
 ) -> dict:
@@ -80,7 +72,7 @@ def bench_large_graph(
     t0 = time.perf_counter()
     res = run_gnn_dataflow(wl, df, hw, partition=plan)
     evaluate_s = time.perf_counter() - t0
-    mem = plan.registry.memory_counters()
+    hits, misses = plan.registry.counters()
 
     return {
         "graph": {
@@ -95,9 +87,8 @@ def bench_large_graph(
         "evaluate_s": round(evaluate_s, 2),
         "total_cycles": res.total_cycles,
         "energy_pj": round(res.energy.total_pj, 1),
-        "tilestats_budget_bytes": budget,
         "partition_budget_bytes": partition_budget,
-        "tilestats": mem,
+        "tilestats": {"hits": hits, "misses": misses},
         "peak_rss_mib": round(_peak_rss_mib(), 1),
     }
 
@@ -112,18 +103,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--edges", type=int, default=None,
                     help=f"large-graph edge target (default: "
                          f"{EDGES_PER_VERTEX}x vertices)")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    metavar="BYTES",
-                    help="TileStats byte budget, exported as "
-                         "REPRO_TILESTATS_BUDGET for the large-graph run "
-                         "(default: 64 MiB)")
     ap.add_argument("--partition-budget", type=int,
                     default=DEFAULT_PARTITION_BUDGET, metavar="BYTES",
                     help="per-block streamed working-set budget for the "
                          "partitioner (default: 64 MiB)")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--check", action="store_true",
-                    help="fail unless peak stats memory <= --budget")
     ap.add_argument("--label", default=None,
                     help="entry label (default: large-graph-tier)")
     args = ap.parse_args(argv)
@@ -131,20 +115,9 @@ def main(argv: list[str] | None = None) -> int:
         EDGES_PER_VERTEX * args.vertices
     )
 
-    # The env knob is how real runs configure the tier, so the bench
-    # exercises exactly that path (read at TileStats construction time).
-    saved = os.environ.get("REPRO_TILESTATS_BUDGET")
-    os.environ["REPRO_TILESTATS_BUDGET"] = str(args.budget)
-    try:
-        large = bench_large_graph(
-            args.vertices, edges, args.budget, args.partition_budget,
-            args.seed,
-        )
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_TILESTATS_BUDGET", None)
-        else:
-            os.environ["REPRO_TILESTATS_BUDGET"] = saved
+    large = bench_large_graph(
+        args.vertices, edges, args.partition_budget, args.seed
+    )
 
     entry = {
         "label": args.label or "large-graph-tier",
@@ -162,22 +135,13 @@ def main(argv: list[str] | None = None) -> int:
         encoding="utf-8",
     )
 
-    mem = large["tilestats"]
     print(f"large graph ({large['graph']['num_vertices']} vertices / "
           f"{large['graph']['num_edges']} edges, max degree "
           f"{large['graph']['max_degree']}): generate "
           f"{large['generate_s']:.1f}s, evaluate {large['evaluate_s']:.1f}s "
           f"across {large['num_blocks']} blocks")
-    print(f"stats memory: peak {mem['peak_nbytes'] / (1 << 20):.1f} MiB of "
-          f"{args.budget / (1 << 20):.0f} MiB budget, "
-          f"{mem['evictions']} evictions; process peak RSS "
-          f"{large['peak_rss_mib']:.0f} MiB")
+    print(f"process peak RSS {large['peak_rss_mib']:.0f} MiB")
     print(f"trajectory: {args.out} ({len(trajectory)} entries)")
-
-    if args.check and mem["peak_nbytes"] > args.budget:
-        print(f"FAIL: peak stats memory {mem['peak_nbytes']} B exceeds "
-              f"the {args.budget} B budget", file=sys.stderr)
-        return 1
     return 0
 
 

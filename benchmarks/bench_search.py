@@ -59,17 +59,17 @@ def bench_dataset(name: str, objective: str) -> dict:
     wl = workload_from_dataset(load_dataset(name))
     hw = AcceleratorConfig(num_pes=512)
 
-    with DataflowEvaluator(wl, hw) as ev:
-        t0 = time.perf_counter()
-        outcomes = ev.evaluate(design_space_stream(ev))
-        exhaustive_s = time.perf_counter() - t0
-        exhaustive = _collect(outcomes, objective)
-        exhaustive_evals = ev.stats.evaluated
+    ev = DataflowEvaluator(wl, hw)
+    t0 = time.perf_counter()
+    outcomes = ev.evaluate(design_space_stream(ev))
+    exhaustive_s = time.perf_counter() - t0
+    exhaustive = _collect(outcomes, objective)
+    exhaustive_evals = ev.stats.evaluated
 
-    with DataflowEvaluator(wl, hw) as ev:
-        t0 = time.perf_counter()
-        report = pareto_search(ev, objective=objective)
-        pareto_s = time.perf_counter() - t0
+    ev = DataflowEvaluator(wl, hw)
+    t0 = time.perf_counter()
+    report = pareto_search(ev, objective=objective)
+    pareto_s = time.perf_counter() - t0
 
     return {
         "dataset": name,

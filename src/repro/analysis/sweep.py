@@ -7,13 +7,12 @@ returns tidy row dictionaries ready for :func:`repro.analysis.report.format_tabl
 All three sweeps route their runs through the
 :class:`~repro.core.evaluator.DataflowEvaluator` service: duplicate
 coordinates (each sweep's normalization baseline re-appears as a swept
-point) are answered from the memo, and passing a
-:class:`~repro.analysis.store.ResultStore` persists every evaluated point.
-Passing ``session=`` (an
-:class:`~repro.campaign.session.ExplorationSession`) instead shares one
-set of memos, caches and warm cache across sweeps, datasets, and
-hardware points, and a store-warmed session re-answers persisted points
-from disk.
+point) are answered from the memo.  Passing ``session=`` (an
+:class:`~repro.campaign.session.ExplorationSession`) shares one set of
+memos, caches and warm cache across sweeps, datasets, and hardware
+points; a session with a
+:class:`~repro.analysis.store.ResultStore` persists every evaluated point
+and re-answers persisted points from disk.
 
 A sweep whose normalization baseline (or any swept point) is illegal on
 the given workload/hardware raises :class:`SweepError` /
@@ -50,18 +49,14 @@ class SweepBaselineError(SweepError):
     be normalized; pick a different baseline config or hardware point."""
 
 
-def _session_for(store, session):
-    """The sweep's session: the caller's, or a private one-shot session.
-
-    Returns ``(session, owned)``; a private session must be closed by the
-    sweep before returning.
-    """
+def _session_for(session):
+    """The sweep's session: the caller's, or a private one with no store."""
     if session is not None:
-        return session, False
+        return session
     # Imported lazily: campaign sits above analysis in the layering.
     from ..campaign.session import ExplorationSession
 
-    return ExplorationSession(store=store), True
+    return ExplorationSession()
 
 
 def _require_ok(outcome: EvalOutcome, what: str, *, baseline: bool = False) -> None:
@@ -78,7 +73,6 @@ def sweep_pe_allocation(
     *,
     config_names: Sequence[str] = ("PP1", "PP3"),
     splits: Sequence[float] = (0.25, 0.5, 0.75),
-    store=None,
     session=None,
     record_extra: Mapping[str, Any] | None = None,
     partition=None,
@@ -111,15 +105,10 @@ def sweep_pe_allocation(
                     {"config": name, "pe_split": split},
                 )
             )
-    ses, owned = _session_for(store, session)
-    try:
-        ev = ses.evaluator(
-            wl, hw, record_extra=record_extra, partition=partition
-        )
-        outcomes = ev.evaluate(candidates)
-    finally:
-        if owned:
-            ses.close()
+    ev = _session_for(session).evaluator(
+        wl, hw, record_extra=record_extra, partition=partition
+    )
+    outcomes = ev.evaluate(candidates)
     _require_ok(
         outcomes[0], f"{config_names[0]} @ 50-50 allocation", baseline=True
     )
@@ -146,7 +135,6 @@ def sweep_num_pes(
     pe_counts: Sequence[int] = (512, 2048),
     config_names: Sequence[str] | None = None,
     baseline: str = "Seq1",
-    store=None,
     session=None,
     record_extra: Mapping[str, Any] | None = None,
     partition=None,
@@ -157,45 +145,41 @@ def sweep_num_pes(
     2048 PEs, so relative dataflow rankings generalize across scales.
     """
     names = list(config_names) if config_names else list(PAPER_CONFIGS)
-    ses, owned = _session_for(store, session)
+    ses = _session_for(session)
     rows: list[dict] = []
-    try:
-        for num_pes in pe_counts:
-            hw = AcceleratorConfig(num_pes=num_pes)
-            ev = ses.evaluator(
-                wl, hw, record_extra=record_extra, partition=partition
-            )
-            outcomes = ev.evaluate(
-                [
-                    (
-                        PAPER_CONFIGS[name].dataflow(),
-                        PAPER_CONFIGS[name].hint,
-                        {"config": name, "num_pes": num_pes},
-                    )
-                    for name in names
-                ]
-            )
-            by_name = dict(zip(names, outcomes))
-            assert baseline in by_name, f"baseline {baseline!r} not swept"
-            _require_ok(
-                by_name[baseline], f"{baseline} @ {num_pes} PEs", baseline=True
-            )
-            base = by_name[baseline].cycles
-            assert base > 0
-            for name in names:
-                outcome = by_name[name]
-                _require_ok(outcome, f"{name} @ {num_pes} PEs")
-                rows.append(
-                    {
-                        "num_pes": num_pes,
-                        "config": name,
-                        "cycles": outcome.cycles,
-                        "normalized": outcome.cycles / base,
-                    }
+    for num_pes in pe_counts:
+        hw = AcceleratorConfig(num_pes=num_pes)
+        ev = ses.evaluator(
+            wl, hw, record_extra=record_extra, partition=partition
+        )
+        outcomes = ev.evaluate(
+            [
+                (
+                    PAPER_CONFIGS[name].dataflow(),
+                    PAPER_CONFIGS[name].hint,
+                    {"config": name, "num_pes": num_pes},
                 )
-    finally:
-        if owned:
-            ses.close()
+                for name in names
+            ]
+        )
+        by_name = dict(zip(names, outcomes))
+        assert baseline in by_name, f"baseline {baseline!r} not swept"
+        _require_ok(
+            by_name[baseline], f"{baseline} @ {num_pes} PEs", baseline=True
+        )
+        base = by_name[baseline].cycles
+        assert base > 0
+        for name in names:
+            outcome = by_name[name]
+            _require_ok(outcome, f"{name} @ {num_pes} PEs")
+            rows.append(
+                {
+                    "num_pes": num_pes,
+                    "config": name,
+                    "cycles": outcome.cycles,
+                    "normalized": outcome.cycles / base,
+                }
+            )
     return rows
 
 
@@ -205,7 +189,6 @@ def sweep_bandwidth(
     bandwidths: Sequence[int] = (512, 256, 128, 64),
     config_names: Sequence[str] = ("Seq1", "SP1", "PP1"),
     num_pes: int = 512,
-    store=None,
     session=None,
     record_extra: Mapping[str, Any] | None = None,
     partition=None,
@@ -222,8 +205,7 @@ def sweep_bandwidth(
     # memo — so the swept Seq1 at base_bw is a memo hit rather than a
     # second model run.
     base_bw = bandwidths[0] if config_names[0] == "Seq1" else max(bandwidths)
-    ses, owned = _session_for(store, session)
-
+    ses = _session_for(session)
     evaluators: dict[int, object] = {}
 
     def evaluator_for(bw: int):
@@ -236,34 +218,30 @@ def sweep_bandwidth(
 
     cfg0 = PAPER_CONFIGS["Seq1"]
     rows: list[dict] = []
-    try:
-        base_outcome = evaluator_for(base_bw).evaluate(
-            [(cfg0.dataflow(), cfg0.hint, {"config": "Seq1", "bandwidth": base_bw})]
-        )[0]
-        _require_ok(base_outcome, f"Seq1 @ bandwidth {base_bw}", baseline=True)
-        base = base_outcome.cycles
-        for bw in bandwidths:
-            outcomes = evaluator_for(bw).evaluate(
-                [
-                    (
-                        PAPER_CONFIGS[name].dataflow(),
-                        PAPER_CONFIGS[name].hint,
-                        {"config": name, "bandwidth": bw},
-                    )
-                    for name in config_names
-                ]
-            )
-            for name, outcome in zip(config_names, outcomes):
-                _require_ok(outcome, f"{name} @ bandwidth {bw}")
-                rows.append(
-                    {
-                        "bandwidth": bw,
-                        "config": name,
-                        "cycles": outcome.cycles,
-                        "normalized": outcome.cycles / base,
-                    }
+    base_outcome = evaluator_for(base_bw).evaluate(
+        [(cfg0.dataflow(), cfg0.hint, {"config": "Seq1", "bandwidth": base_bw})]
+    )[0]
+    _require_ok(base_outcome, f"Seq1 @ bandwidth {base_bw}", baseline=True)
+    base = base_outcome.cycles
+    for bw in bandwidths:
+        outcomes = evaluator_for(bw).evaluate(
+            [
+                (
+                    PAPER_CONFIGS[name].dataflow(),
+                    PAPER_CONFIGS[name].hint,
+                    {"config": name, "bandwidth": bw},
                 )
-    finally:
-        if owned:
-            ses.close()
+                for name in config_names
+            ]
+        )
+        for name, outcome in zip(config_names, outcomes):
+            _require_ok(outcome, f"{name} @ bandwidth {bw}")
+            rows.append(
+                {
+                    "bandwidth": bw,
+                    "config": name,
+                    "cycles": outcome.cycles,
+                    "normalized": outcome.cycles / base,
+                }
+            )
     return rows

@@ -69,7 +69,7 @@ class CampaignReport:
     spec_fingerprint: str
     units: list[UnitResult] = field(default_factory=list)
     # Scheduling-invariant evaluation counters (EvalStats minus its
-    # execution fields): identical for any worker count or shard split
+    # execution fields): identical for any shard count
     # of the same spec — what the determinism tests and CI diff.
     stats: dict = field(default_factory=dict)
     # Cache-efficacy counters (phase-engine + tilestats hits/misses):

@@ -19,7 +19,7 @@ new cost-model evaluations (asserted in ``tests/test_campaign.py``).
 
 Execution itself lives in :mod:`repro.campaign.scheduler`, which runs
 the units strictly in grid order; the checkpoint and report are the same
-bytes for any worker count.
+bytes for any shard count.
 """
 
 from __future__ import annotations
@@ -136,9 +136,9 @@ class CampaignCheckpoint:
         """The cache-counters sidecar next to the checkpoint journal.
 
         Kept out of the journal itself on purpose: counter snapshots are
-        *execution accounting* (worker scheduling changes the hit/miss
-        split), while the journal's bytes are guaranteed identical for
-        any worker count.
+        *execution accounting* (how units are split over shards changes
+        the hit/miss split), while the journal's bytes are guaranteed
+        identical for any shard count.
         """
         return self.stats_path_for(self.path)
 
@@ -348,16 +348,11 @@ def run_campaign(
                 f"spec {spec.name!r} has {spec.unit_keys()}"
             )
         only_units = frozenset(only_units)
-    owns_session = session is None
-    if owns_session:
+    if session is None:
         session = ExplorationSession(store=store)
-    try:
-        units = run_units_sequential(
-            spec, session, checkpoint=checkpoint, only_units=only_units
-        )
-    finally:
-        if owns_session:
-            session.close()
+    units = run_units_sequential(
+        spec, session, checkpoint=checkpoint, only_units=only_units
+    )
     # The report's ``stats`` carry only the scheduling-invariant counters
     # (identical for any shard count); cache-efficacy counters are
     # execution accounting and ride separately in ``cache``.

@@ -92,7 +92,7 @@ def run_unit(
     """Run one unit's candidate source; returns JSON-safe row dicts.
 
     Rows depend only on ``(spec, unit)`` and the cost model, never on
-    the session's worker count or what ran before.
+    the shard count or what ran before.
     """
     wl = workload_from_dataset(load_dataset(ds_name, seed=spec.seed))
     hw = pt.config()
@@ -120,25 +120,25 @@ def run_unit(
         ]
 
     if kind in ("exhaustive", "pareto", "random"):
-        with MappingOptimizer(
+        opt = MappingOptimizer(
             wl, hw, objective=spec.objective, session=session,
             record_extra=extra, partition=partition,
-        ) as opt:
-            # The Table V baseline shares the unit's evaluator, so the
-            # broader search draws from the same memo and store stream.
-            paper = search_paper_configs(
-                wl, hw, objective=spec.objective, evaluator=opt.evaluator
+        )
+        # The Table V baseline shares the unit's evaluator, so the
+        # broader search draws from the same memo and store stream.
+        paper = search_paper_configs(
+            wl, hw, objective=spec.objective, evaluator=opt.evaluator
+        )
+        if kind == "exhaustive":
+            full = opt.exhaustive(budget=spec.budget)
+        elif kind == "pareto":
+            max_evals = params.get("max_evals")
+            full = opt.pareto(
+                max_evals=int(max_evals) if max_evals else spec.budget
             )
-            if kind == "exhaustive":
-                full = opt.exhaustive(budget=spec.budget)
-            elif kind == "pareto":
-                max_evals = params.get("max_evals")
-                full = opt.pareto(
-                    max_evals=int(max_evals) if max_evals else spec.budget
-                )
-            else:
-                n = int(params.get("n") or spec.budget or 64)
-                full = opt.random_search(n, seed=spec.seed)
+        else:
+            n = int(params.get("n") or spec.budget or 64)
+            full = opt.random_search(n, seed=spec.seed)
         row = {
             "paper_best": list(paper.top(1)[0]),
             "search_best": str(full.best_dataflow),

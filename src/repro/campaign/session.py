@@ -19,8 +19,9 @@ first-generation service pinned per ``(workload, hardware)`` pair:
 Every evaluation runs in the calling process; ``repro.distributed`` shards
 a campaign's unit grid over processes, one session per shard.
 ``session.evaluator(wl, hw)`` returns a thin
-:class:`~repro.core.evaluator.DataflowEvaluator` view; closing a view is
-a no-op, and a closed session hands out no new views.
+:class:`~repro.core.evaluator.DataflowEvaluator` view.  All of this state
+is plain process memory: a session holds no file handle or process, so
+it has nothing to close.  The store belongs to the caller, who closes it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Mapping
 
+from ..analysis.store import ResultStore
 from ..arch.config import AcceleratorConfig
 from ..core.evaluator import DataflowEvaluator, EvalStats
 from ..core.workload import GNNWorkload
@@ -44,21 +46,13 @@ class ExplorationSession:
     Parameters
     ----------
     store:
-        Optional :class:`~repro.analysis.store.ResultStore`.  Fresh
-        successful evaluations stream into it; with ``warm`` (default)
-        its existing records also seed the warm cache.
-    warm:
-        Preload the store's persisted records as a fingerprint-keyed warm
-        cache (``warm=False`` keeps the store write-only, the
-        pre-campaign behaviour).
+        Optional :class:`~repro.analysis.store.ResultStore` — the one
+        place a store attaches to evaluation.  Fresh outcomes stream into
+        it, and its existing records and error sidecar seed the warm
+        cache.
     """
 
-    def __init__(
-        self,
-        *,
-        store: Any | None = None,
-        warm: bool = True,
-    ) -> None:
+    def __init__(self, *, store: ResultStore | None = None) -> None:
         self.store = store
         self.stats = EvalStats()
         # Guards the shared counters and warm-cache mutation when several
@@ -68,13 +62,12 @@ class ExplorationSession:
         # operations here.
         self.lock = threading.Lock()
         self._memos: dict[str, dict] = {}
-        self._warm: dict[str, dict] = {}  # loaded warm records
+        self._warm: dict[str, dict] = {}  # warm records read so far
         self._warm_fps: set[str] = set()  # every warm-servable fingerprint
         self._warm_errors: dict[str, str] = {}
         self._tilestats = TileStatsRegistry()
         self._phase_caches: dict[str, PhaseEngineCache] = {}
-        self._closed = False
-        if store is not None and warm:
+        if store is not None:
             self.preload_store()
 
     # -- warm cache -----------------------------------------------------
@@ -90,33 +83,21 @@ class ExplorationSession:
         rows; the model re-runs those candidates instead (the store's
         dedup index still absorbs the duplicate append).
 
-        A :class:`~repro.analysis.store.ResultStore` exposes its
-        fingerprint->schema map straight from the offset index, so this
-        preload parses **no** record contents at all — each warm *hit*
-        later seeks to its one line via ``record_for``.  Duck-typed
-        stores without that surface fall back to a full ``records()``
-        walk (the pre-index behaviour).
+        The store's fingerprint->schema map comes straight from its
+        offset index, so this preload parses **no** record contents at
+        all — each warm *hit* later seeks to its one line via
+        ``record_for``.
         """
         # Imported here: analysis sits above core/campaign plumbing.
         from ..analysis.export import SCHEMA_VERSION
 
-        schemas = getattr(self.store, "fingerprint_schemas", None)
         with self.lock:
-            if callable(schemas):
-                self._warm_fps.update(
-                    fp
-                    for fp, schema in schemas().items()
-                    if schema == SCHEMA_VERSION
-                )
-            else:
-                for record in self.store.records():
-                    fp = record.get("fingerprint")
-                    if fp and record.get("schema") == SCHEMA_VERSION:
-                        self._warm[str(fp)] = record
-                        self._warm_fps.add(str(fp))
-            errors = getattr(self.store, "errors", None)
-            if callable(errors):
-                self._warm_errors.update(errors())
+            self._warm_fps.update(
+                fp
+                for fp, schema in self.store.fingerprint_schemas().items()
+                if schema == SCHEMA_VERSION
+            )
+            self._warm_errors.update(self.store.errors())
             return len(self._warm_fps)
 
     def warm_get(self, fingerprint: str) -> dict | None:
@@ -174,26 +155,12 @@ class ExplorationSession:
         """
         with self.lock:
             ts_hits, ts_misses = self._tilestats.counters()
-            mem = self._tilestats.memory_counters()
             return {
                 "phase_hits": self.stats.phase_hits,
                 "phase_misses": self.stats.phase_misses,
                 "tilestats_hits": ts_hits,
                 "tilestats_misses": ts_misses,
-                # Monotone memory accounting only: the campaign checkpoint
-                # journals per-unit *deltas* of this dict, so instantaneous
-                # gauges (live nbytes) stay out — read those straight from
-                # ``tilestats_memory()`` instead.
-                "tilestats_peak_nbytes": mem["peak_nbytes"],
-                "tilestats_evictions": mem["evictions"],
             }
-
-    def tilestats_memory(self) -> dict:
-        """Live memory accounting of the session's sparsity caches
-        (includes the instantaneous ``nbytes`` gauge, unlike the monotone
-        :meth:`cache_counters` snapshot)."""
-        with self.lock:
-            return self._tilestats.memory_counters()
 
     # -- per-context state ----------------------------------------------
     def memo_for(self, ctx_key: str) -> dict:
@@ -208,22 +175,7 @@ class ExplorationSession:
         partition=None,
     ) -> DataflowEvaluator:
         """A thin evaluator view of this session for one context."""
-        if self._closed:
-            raise RuntimeError("session is closed")
         return DataflowEvaluator(
             wl, hw, record_extra=record_extra, session=self,
             partition=partition,
         )
-
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        """Stop handing out evaluator views (idempotent).  The store,
-        which the caller owns, is left open."""
-        with self.lock:
-            self._closed = True
-
-    def __enter__(self) -> "ExplorationSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -989,10 +989,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 if snap
                 else None
             )
-            # Memory accounting joined the sidecar later: older
-            # checkpoints (and queued units) degrade to None -> "-".
-            ts_evict = snap.get("tilestats_evictions") if snap else None
-            ts_peak = snap.get("tilestats_peak_nbytes") if snap else None
             unit_rows.append(
                 {
                     "unit": key,
@@ -1001,8 +997,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     "cache": snap,
                     "phase_hit_rate": phase_rate,
                     "tilestats_hit_rate": ts_rate,
-                    "tilestats_evictions": ts_evict,
-                    "tilestats_peak_nbytes": ts_peak,
                 }
             )
         # Distributed supervision accounting, when a coordinator has run
@@ -1041,18 +1035,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             def pct(rate):
                 return "-" if rate is None else f"{100 * rate:.0f}%"
 
-            def count(value):
-                return "-" if value is None else str(value)
-
-            def mib(value):
-                return "-" if value is None else f"{value / (1 << 20):.1f}M"
-
             print(
                 format_table(
-                    [
-                        "unit", "state", "records", "phase-hit",
-                        "tilestats-hit", "evictions", "stats-peak",
-                    ],
+                    ["unit", "state", "records", "phase-hit", "tilestats-hit"],
                     [
                         [
                             u["unit"],
@@ -1060,8 +1045,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                             u["records"],
                             pct(u["phase_hit_rate"]),
                             pct(u["tilestats_hit_rate"]),
-                            count(u["tilestats_evictions"]),
-                            mib(u["tilestats_peak_nbytes"]),
                         ]
                         for u in unit_rows
                     ],
@@ -1253,10 +1236,9 @@ def _derive_golden_records(datasets: Sequence[str]) -> list[dict]:
     records: list[dict] = []
     for ds_name in datasets:
         wl = workload_from_dataset(load_dataset(ds_name))
-        with DataflowEvaluator(wl, hw) as ev:
-            outcomes = ev.evaluate(
-                [paper_dataflow(cfg) for cfg in paper_config_names()]
-            )
+        outcomes = DataflowEvaluator(wl, hw).evaluate(
+            [paper_dataflow(cfg) for cfg in paper_config_names()]
+        )
         for cfg, outcome in zip(paper_config_names(), outcomes):
             records.append(
                 run_result_to_record(

@@ -3,13 +3,13 @@
 Layering (low to high): taxonomy/legality/tiling describe mappings, the
 engines cost one phase, :func:`run_gnn_dataflow` composes a layer, and
 the evaluation service (:class:`DataflowEvaluator`) batches, memoizes,
-and persists candidate runs.  The service is deliberately session-oriented: evaluators
-are thin per-``(workload, hardware)`` views over an
+and persists candidate runs.  Evaluators are thin
+per-``(workload, hardware)`` views over an
 :class:`~repro.campaign.session.ExplorationSession` (see
 :mod:`repro.campaign`), which owns the shared memos, caches and the
-store-backed warm cache; constructing an evaluator directly builds a
-private single-context session for backward compatibility.  The mapping
-optimizer and every sweep/campaign front-end sit on top of the service.
+store-backed warm cache; an evaluator constructed without a session
+gets a private one with no store.  The mapping optimizer and every
+sweep/campaign front-end sit on top of the service.
 """
 
 from .configs import PAPER_CONFIGS, PaperConfig, paper_config_names, paper_dataflow

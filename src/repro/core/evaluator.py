@@ -19,8 +19,8 @@ centralizes all three.
   over an :class:`~repro.campaign.session.ExplorationSession`: the session
   owns the per-context memos, the sparsity and phase-engine caches, and
   the warm cache; the evaluator contributes the context signature and the
-  record schema.  Constructing an evaluator directly (the pre-campaign
-  API) still works — it simply owns a private single-context session.
+  record schema.  An evaluator constructed without a session builds a
+  private one with no store.
 - Every candidate is reported back as an :class:`EvalOutcome` — including
   illegal ones, whose :class:`~repro.core.legality.LegalityError` is
   captured rather than silently dropped, and warm-cache hits, which carry
@@ -612,20 +612,10 @@ class DataflowEvaluator:
     ----------
     session:
         The :class:`~repro.campaign.session.ExplorationSession` providing
-        the per-context memo, caches, store, and warm cache.  When omitted
-        (the pre-campaign compatibility constructor), a private
-        single-context session is created from the remaining keyword
-        arguments and closed with this evaluator.
-    store:
-        Optional :class:`~repro.analysis.store.ResultStore`; every fresh
-        successful evaluation is streamed into it as an export-schema
-        record tagged with the candidate fingerprint, and (unless
-        ``warm=False``) its existing records seed the warm cache so a
-        second session answers repeated candidates from disk with zero
-        cost-model runs.  Ignored when ``session`` is given.
-    warm:
-        Preload the store's records as a warm cache (default).  Ignored
-        when ``session`` is given.
+        the per-context memo, caches, store, and warm cache.  When
+        omitted, a private session with no store is created.  To persist
+        outcomes, attach the store to a session:
+        ``ExplorationSession(store=store).evaluator(wl, hw)``.
     record_extra:
         Constant key-values merged into every persisted record (e.g.
         ``{"dataset": "cora"}``).
@@ -637,6 +627,9 @@ class DataflowEvaluator:
         spec enters the context signature, so partitioned candidates
         fingerprint (and memoize/persist) separately from whole-graph
         ones.
+
+    ``with DataflowEvaluator(wl, hw) as ev:`` works and does nothing on
+    exit: an evaluator holds only process memory.
     """
 
     def __init__(
@@ -644,21 +637,15 @@ class DataflowEvaluator:
         wl: GNNWorkload,
         hw: AcceleratorConfig,
         *,
-        store: "Any | None" = None,
-        warm: bool = True,
         record_extra: Mapping[str, Any] | None = None,
         session: "Any | None" = None,
         partition=None,
     ) -> None:
         if session is None:
-            # Imported lazily: campaign sits above core in the layering,
-            # and this is the pre-campaign compatibility constructor.
+            # Imported lazily: campaign sits above core in the layering.
             from ..campaign.session import ExplorationSession
 
-            session = ExplorationSession(store=store, warm=warm)
-            self._owns_session = True
-        else:
-            self._owns_session = False
+            session = ExplorationSession()
         self.session = session
         self.wl = wl
         self.hw = hw
@@ -692,26 +679,11 @@ class DataflowEvaluator:
     def store(self):
         return self.session.store
 
-    def close(self) -> None:
-        """Close the private session, if this evaluator owns one.
-
-        Session-provided evaluators are views; closing them is a no-op so
-        ``with session.evaluator(...)`` blocks never close the shared
-        session."""
-        if self._owns_session:
-            self.session.close()
-
     def __enter__(self) -> "DataflowEvaluator":
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
+        return None
 
     # -- fingerprints and records --------------------------------------
     def fingerprint(
@@ -926,7 +898,7 @@ class DataflowEvaluator:
                 self._bump("persisted")
             else:
                 self._bump("store_skips")
-        elif outcome.error is not None and hasattr(store, "record_error"):
+        elif outcome.error is not None:
             # Illegal candidates go to the compact error sidecar so a
             # resumed campaign skips re-probing known-bad mappings.
             if store.record_error(outcome.fingerprint, outcome.error):

@@ -15,11 +15,11 @@ implements three complementary strategies:
 All strategies — including the hill climb's explicit-tiling candidates,
 via :class:`~repro.core.evaluator.ExplicitTiles` — route through the
 :class:`~repro.core.evaluator.DataflowEvaluator` service, so searches are
-memoized, optionally persisted to a
-:class:`~repro.analysis.store.ResultStore`, and — when the evaluator's
-session carries a store-backed warm cache — resumable across processes: a second optimizer run against the same store
-performs zero duplicate cost-model evaluations, scoring candidates from
-the persisted records instead.
+memoized and — when the evaluator's session carries a
+:class:`~repro.analysis.store.ResultStore` — persisted and resumable
+across processes: a second optimizer run against the same store performs
+zero duplicate cost-model evaluations, scoring candidates from the
+persisted records instead.
 
 Evaluation is *batched*: the evaluator groups each streamed batch by
 (Aggregation mapping, Combination mapping) before dispatch, so candidates
@@ -177,24 +177,16 @@ def search_paper_configs(
     *,
     objective: str = "cycles",
     evaluator: DataflowEvaluator | None = None,
-    session: "Any | None" = None,
 ) -> SearchResult:
-    """Evaluate the ten Table V configurations and pick the winner."""
+    """Evaluate the ten Table V configurations and pick the winner.
+
+    Pass ``evaluator`` to share its memo, caches and store."""
     if objective not in OBJECTIVES:
         raise ValueError(
             f"unknown objective {objective!r}; pick from {sorted(OBJECTIVES)}"
         )
-    if evaluator is not None:
-        ev, owned = evaluator, False
-    elif session is not None:
-        ev, owned = session.evaluator(wl, hw), False
-    else:
-        ev, owned = DataflowEvaluator(wl, hw), True
-    try:
-        outcomes = ev.evaluate(paper_config_stream(ev))
-    finally:
-        if owned:
-            ev.close()
+    ev = evaluator if evaluator is not None else DataflowEvaluator(wl, hw)
+    outcomes = ev.evaluate(paper_config_stream(ev))
     for outcome in outcomes:
         if not outcome.ok:  # Table V rows are all legal by construction
             raise LegalityError(f"{outcome.label}: {outcome.error}")
@@ -227,13 +219,12 @@ class MappingOptimizer:
     All candidate evaluations flow through a single
     :class:`DataflowEvaluator`, shared across this optimizer's searches:
     repeated or overlapping searches hit its memo instead of re-running
-    the cost model, and ``store`` persists every evaluated mapping for later analysis — and,
-    through the session warm cache, answers a later optimizer run's
-    repeated candidates from disk.  Pass ``session=`` to draw the
-    evaluator from a shared
+    the cost model.  Pass ``session=`` to draw the evaluator from a shared
     :class:`~repro.campaign.session.ExplorationSession` (one set of memos
-    and caches across many workloads); the legacy ``store=`` keyword
-    builds a private single-context session instead.
+    and caches across many workloads); a session with a store persists
+    every evaluated mapping and answers a later optimizer run's repeated
+    candidates from disk.  Without a session the optimizer uses a private
+    one with no store.
     """
 
     def __init__(
@@ -242,8 +233,6 @@ class MappingOptimizer:
         hw: AcceleratorConfig,
         *,
         objective: str = "cycles",
-        store=None,
-        evaluator: DataflowEvaluator | None = None,
         session: "Any | None" = None,
         record_extra: Mapping[str, Any] | None = None,
         partition=None,
@@ -257,28 +246,10 @@ class MappingOptimizer:
         self.objective = objective
         self._score = OBJECTIVES[objective]
         self.last_pareto_report: "Any | None" = None
-        if evaluator is not None:
-            if partition is not None:
-                raise ValueError(
-                    "pass partition via the evaluator, not alongside one"
-                )
-            self.evaluator = evaluator
-        elif session is not None:
-            self.evaluator = session.evaluator(
-                wl, hw, record_extra=record_extra, partition=partition
-            )
-        else:
-            self.evaluator = DataflowEvaluator(
-                wl,
-                hw,
-                store=store,
-                record_extra=record_extra,
-                partition=partition,
-            )
-
-    def close(self) -> None:
-        """Close the evaluator's private session (no-op for session views)."""
-        self.evaluator.close()
+        self.evaluator = DataflowEvaluator(
+            wl, hw, record_extra=record_extra, session=session,
+            partition=partition,
+        )
 
     def cache_counters(self) -> dict:
         """Phase-engine cache efficacy across this optimizer's searches.
@@ -293,12 +264,6 @@ class MappingOptimizer:
             "phase_hits": stats.phase_hits,
             "phase_misses": stats.phase_misses,
         }
-
-    def __enter__(self) -> "MappingOptimizer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     def _evaluate(

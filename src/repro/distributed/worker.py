@@ -310,6 +310,5 @@ def run_shard(
         return report, paths
     finally:
         heart.join(timeout=5.0)
-        session.close()
         checkpoint.close()
         store.close()

@@ -21,10 +21,9 @@ cycle counts match up to pipeline fill/rounding.
 The loop nest is evaluated as numpy arrays one block of steps at a time:
 traffic totals and the pipeline recurrence (:class:`_PipelineScan`) are
 reduced per block, so peak memory stays bounded at any graph size, and a
-small problem is simply the one-block case.  Blocks are sized from the
-:class:`~repro.engine.tilestats.TileStats` byte budget
-(``REPRO_TILESTATS_BUDGET``), else 16 MiB.  The interpreted loop walks
-that this module is proved against live in ``tests/oracles/``.
+small problem is simply the one-block case.  Blocks hold about 16 MiB of
+working set.  The interpreted loop walks that this module is proved
+against live in ``tests/oracles/``.
 
 Nothing on the production cost-model path imports this module.
 """
@@ -41,7 +40,7 @@ from ..core.taxonomy import Dim, IntraDataflow, Phase
 from ..graphs.csr import CSRGraph
 from .gemm import GemmSpec, GemmTiling
 from .spmm import SpmmSpec, SpmmTiling
-from .tilestats import TileStats, default_byte_budget, resolve_stats
+from .tilestats import TileStats, resolve_stats
 
 __all__ = [
     "CycleReport",
@@ -51,7 +50,7 @@ __all__ = [
     "step_grid_chunks",
 ]
 
-# Streaming block size when no byte budget is set.
+# Working-set bytes of one streamed block.
 _DEFAULT_BLOCK_BYTES = 1 << 24
 
 
@@ -177,18 +176,12 @@ def cycle_accurate_gemm(
     intra: IntraDataflow,
     tiling: GemmTiling,
     hw: AcceleratorConfig,
-    *,
-    stats: TileStats | None = None,
 ) -> CycleReport:
-    """Walk the tiled GEMM loop nest step by step.
-
-    Dense GEMM needs no sparsity statistics: ``stats`` (accepted for
-    signature symmetry with the SpMM engine) only lends its byte budget to
-    size the step blocks.
-    """
-    budget = stats.byte_budget if stats is not None else default_byte_budget()
-    chunk = (budget or _DEFAULT_BLOCK_BYTES) // _GEMM_STEP_BYTES
-    return _gemm_blocks(spec, intra, tiling, hw, chunk_steps=chunk)
+    """Walk the tiled GEMM loop nest step by step."""
+    return _gemm_blocks(
+        spec, intra, tiling, hw,
+        chunk_steps=_DEFAULT_BLOCK_BYTES // _GEMM_STEP_BYTES,
+    )
 
 
 def _gemm_blocks(
@@ -507,8 +500,7 @@ def cycle_accurate_spmm(
     as its longest row needs; lanes whose rows finished early sit idle and
     produce no traffic.  ``stats`` is an optional
     :class:`~repro.engine.tilestats.TileStats` handle for the spec's graph;
-    sharing one across candidates amortizes the per-tiling sparsity scans,
-    and its byte budget sizes the blocks.
+    sharing one across candidates amortizes the per-tiling sparsity scans.
 
     Cells are produced in exact nest order without ever materializing the
     whole ``(n_vtiles, max_nsteps)`` population grids or flat loop-nest
@@ -597,12 +589,12 @@ def cycle_accurate_spmm(
         list(range(n_ftiles)) if pos[Dim.F] == 0 else [None]
     )
     if v_major:
-        chunk_rows = _spmm_chunk_rows(stats, max_nsteps, n_ftiles)
+        chunk_rows = _spmm_chunk_rows(max_nsteps, n_ftiles)
         for f_pass in f_passes:
             for grids in step_grid_chunks(stats, t_v, t_n, chunk_rows):
                 emit(*_chunk_cells(grids), f_pass)
     elif max_nsteps:
-        bandw = _spmm_band_width(stats, n_vtiles, n_ftiles)
+        bandw = _spmm_band_width(n_vtiles, n_ftiles)
         # Presort by step count: each band's active vertices are a suffix.
         s_order = np.argsort(s, kind="stable").astype(np.int64)
         s_sorted = s[s_order]
@@ -648,23 +640,21 @@ def cycle_accurate_spmm(
     )
 
 
-def _spmm_chunk_rows(stats: TileStats, max_nsteps: int, n_ftiles: int) -> int:
+def _spmm_chunk_rows(max_nsteps: int, n_ftiles: int) -> int:
     """Vtile rows per slab: sized so the slab grids plus their F-expanded
-    emission arrays fit comfortably inside the byte budget."""
-    target = _spmm_block_bytes(stats)
+    emission arrays fit comfortably inside one block."""
+    target = _spmm_block_bytes()
     per_row = 8 * max(1, max_nsteps) * (3 + 4 * max(1, n_ftiles))
     return max(1, target // per_row)
 
 
-def _spmm_band_width(stats: TileStats, n_vtiles: int, n_ftiles: int) -> int:
+def _spmm_band_width(n_vtiles: int, n_ftiles: int) -> int:
     """Neighbor-step columns per band (same sizing rule)."""
-    target = _spmm_block_bytes(stats)
+    target = _spmm_block_bytes()
     per_col = 8 * max(1, n_vtiles) * (3 + 4 * max(1, n_ftiles))
     return max(1, target // per_col)
 
 
-def _spmm_block_bytes(stats: TileStats) -> int:
-    budget = stats.byte_budget
-    if budget is None:
-        return _DEFAULT_BLOCK_BYTES
-    return max(budget // 4, 1 << 16)
+def _spmm_block_bytes() -> int:
+    # A function, not the bare constant, so tests can shrink the blocks.
+    return _DEFAULT_BLOCK_BYTES

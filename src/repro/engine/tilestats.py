@@ -18,18 +18,13 @@ All entries are derived with prefix-sum / scatter-add kernels over
 bumps ``hits``/``misses`` so cache effectiveness is assertable in tests
 and reportable by benchmarks.
 
-Memory bounding (the web-scale tier): every entry is an O(V) array, and
-the cache keeps one per tile size — on a million-vertex graph a sweep
-over many tilings adds up.  A :class:`TileStats` therefore accepts a
-``byte_budget`` (or the ``REPRO_TILESTATS_BUDGET`` environment variable):
-cached arrays are accounted and evicted least-recently-used when the
-total exceeds the budget.
+Every entry is one read-only O(V) (or O(V / T_V)) array per tile key, and
+the number of keys follows the set of tile sizes a sweep visits, not the
+number of candidates: a full 6,656-point design-space sweep holds about
+15 arrays.  Nothing is evicted; a cache lives as long as its session.
 """
 
 from __future__ import annotations
-
-import os
-from collections import OrderedDict
 
 import numpy as np
 
@@ -40,27 +35,7 @@ __all__ = [
     "TileStatsRegistry",
     "graph_digest",
     "resolve_stats",
-    "default_byte_budget",
 ]
-
-_BUDGET_ENV = "REPRO_TILESTATS_BUDGET"
-
-
-def default_byte_budget() -> int | None:
-    """The ``REPRO_TILESTATS_BUDGET`` environment override, if any.
-
-    Read at construction time (not import time) so tests and CI can set a
-    budget per invocation.  Unparseable or non-positive values mean
-    "unbounded" — the historical behavior.
-    """
-    raw = os.environ.get(_BUDGET_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 def graph_digest(graph: CSRGraph) -> str:
@@ -103,23 +78,13 @@ class TileStats:
     - ``vtile_steps(t_v, t_n)``: lock-step maxima per vertex tile.
 
     One instance is safe to share across candidates, dataflows, feature
-    widths, and hardware points of the same graph.  With a ``byte_budget``
-    (default: the ``REPRO_TILESTATS_BUDGET`` environment variable) cached
-    arrays are LRU-evicted once the accounted total exceeds the budget;
-    ``nbytes()``/``peak_nbytes``/``evictions`` expose the accounting.
+    widths, and hardware points of the same graph.
     """
 
-    def __init__(self, graph: CSRGraph, byte_budget: int | None = None) -> None:
+    def __init__(self, graph: CSRGraph) -> None:
         self.graph = graph
-        self.byte_budget = (
-            byte_budget if byte_budget is not None else default_byte_budget()
-        )
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
-        self.peak_nbytes = 0  # monotone: high-water mark of accounted bytes
-        self._total_nbytes = 0
-        self._lru: OrderedDict[tuple, int] = OrderedDict()
         self._per_v_steps: dict[int, np.ndarray] = {}
         self._unit_sums: dict[int, tuple[int, int]] = {}
         self._vtile_steps: dict[tuple[int, int], np.ndarray] = {}
@@ -130,45 +95,6 @@ class TileStats:
             self.hits += 1
         else:
             self.misses += 1
-
-    def nbytes(self) -> int:
-        """Bytes currently held by cached entries (LRU-accounted)."""
-        return self._total_nbytes
-
-    def _account(self, key: tuple, nbytes: int) -> None:
-        """Admit a freshly built entry and evict LRU victims over budget.
-
-        The entry being admitted is protected — it is about to be handed
-        to the caller, so evicting it would only force an immediate
-        rebuild; a single entry larger than the whole budget is therefore
-        kept (and ``peak_nbytes`` records the overshoot honestly).
-        """
-        self._lru[key] = nbytes
-        self._lru.move_to_end(key)
-        self._total_nbytes += nbytes
-        if self._total_nbytes > self.peak_nbytes:
-            self.peak_nbytes = self._total_nbytes
-        budget = self.byte_budget
-        if budget is None:
-            return
-        while self._total_nbytes > budget:
-            victim = next((k for k in self._lru if k != key), None)
-            if victim is None:
-                break
-            self._total_nbytes -= self._lru.pop(victim)
-            self.evictions += 1
-            self._drop(victim)
-
-    def _touch(self, key: tuple) -> None:
-        if key in self._lru:
-            self._lru.move_to_end(key)
-
-    def _drop(self, key: tuple) -> None:
-        kind = key[0]
-        if kind == "pvs":
-            self._per_v_steps.pop(key[1], None)
-        elif kind == "vts":
-            self._vtile_steps.pop(key[1:], None)
 
     @property
     def zero_degree_rows(self) -> int:
@@ -187,9 +113,6 @@ class TileStats:
             out = -(-self.graph.degrees // t_n)
             out.setflags(write=False)  # shared across candidates
             self._per_v_steps[t_n] = out
-            self._account(("pvs", t_n), int(out.nbytes))
-        else:
-            self._touch(("pvs", t_n))
         return out
 
     def _sums(self, t_n: int) -> tuple[int, int]:
@@ -231,9 +154,6 @@ class TileStats:
                 out = np.zeros(0, dtype=np.int64)
             out.setflags(write=False)  # shared across candidates
             self._vtile_steps[key] = out
-            self._account(("vts", t_v, t_n), int(out.nbytes))
-        else:
-            self._touch(("vts", t_v, t_n))
         return out
 
 
@@ -245,8 +165,7 @@ class TileStatsRegistry:
     dataset (e.g. campaign units on several hardware points) resolve to
     the same cache.
     Only one graph per distinct pattern is kept alive — the one inside
-    its :class:`TileStats`.  Every cache the registry creates takes its
-    byte budget from ``REPRO_TILESTATS_BUDGET``.
+    its :class:`TileStats`.
     """
 
     def __init__(self) -> None:
@@ -264,20 +183,6 @@ class TileStatsRegistry:
         hits = sum(stats.hits for stats in self._by_digest.values())
         misses = sum(stats.misses for stats in self._by_digest.values())
         return hits, misses
-
-    def memory_counters(self) -> dict[str, int]:
-        """Aggregate memory accounting across every registered graph.
-
-        ``peak_nbytes`` and ``evictions`` are monotone (sums of per-cache
-        monotone counters), so per-unit deltas in the campaign stats
-        sidecar remain meaningful; ``nbytes`` is the instantaneous total.
-        """
-        caches = self._by_digest.values()
-        return {
-            "nbytes": sum(c.nbytes() for c in caches),
-            "peak_nbytes": sum(c.peak_nbytes for c in caches),
-            "evictions": sum(c.evictions for c in caches),
-        }
 
     def __len__(self) -> int:
         return len(self._by_digest)

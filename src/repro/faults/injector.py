@@ -79,12 +79,6 @@ class InjectedFault(ReproError):
         self.kind = kind
         self.hit = hit
 
-    def __reduce__(self):
-        # args holds the rendered message, not the ctor signature, so
-        # spell the rebuild out — otherwise it would not survive a pickle
-        # round trip.
-        return (type(self), (self.site, self.kind, self.hit), dict(self.__dict__))
-
 
 @dataclass(frozen=True)
 class FaultAction:

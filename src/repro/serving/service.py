@@ -488,12 +488,12 @@ class DataflowService:
         }
 
     def close(self) -> None:
-        """Tear down the session (and the store, when this service opened
-        it from a path).  Idempotent."""
+        """Stop answering queries, and close the store when this service
+        opened it from a path (a store passed in stays the caller's).
+        Idempotent."""
         if self._closed:
             return
         self._closed = True
-        self.session.close()
         if self._owns_store and self.store is not None:
             self.store.close()
 

@@ -175,37 +175,31 @@ class TestSession:
     ):
         path = tmp_path / "runs.jsonl"
         with ResultStore(path) as store:
-            with ExplorationSession(store=store) as first:
-                outcomes = first.evaluator(wl, hw).evaluate(paper_candidates)
-                assert first.stats.evaluated == len(paper_candidates)
+            first = ExplorationSession(store=store)
+            outcomes = first.evaluator(wl, hw).evaluate(paper_candidates)
+            assert first.stats.evaluated == len(paper_candidates)
         cycles = [o.cycles for o in outcomes]
 
         with ResultStore(path) as store:
-            with ExplorationSession(store=store) as second:
-                assert second.warm_size == len(paper_candidates)
-                again = second.evaluator(wl, hw).evaluate(paper_candidates)
-                # zero cost-model runs: every answer came from disk
-                assert second.stats.evaluated == 0
-                assert second.stats.warm_hits == len(paper_candidates)
+            second = ExplorationSession(store=store)
+            assert second.warm_size == len(paper_candidates)
+            again = second.evaluator(wl, hw).evaluate(paper_candidates)
+            # zero cost-model runs: every answer came from disk
+            assert second.stats.evaluated == 0
+            assert second.stats.warm_hits == len(paper_candidates)
         assert [o.cycles for o in again] == cycles
         assert all(o.record is not None and o.result is None for o in again)
 
     def test_memo_shared_between_views_of_same_context(
         self, wl, hw, paper_candidates
     ):
-        with ExplorationSession() as session:
-            session.evaluator(wl, hw).evaluate(paper_candidates)
-            ev2 = session.evaluator(wl, hw)
-            ev2.evaluate(paper_candidates)
-            assert ev2.stats.evaluated == 0
-            assert ev2.stats.cache_hits == len(paper_candidates)
-            assert session.stats.evaluated == len(paper_candidates)
-
-    def test_closed_session_refuses_new_evaluators(self, wl, hw):
         session = ExplorationSession()
-        session.close()
-        with pytest.raises(RuntimeError):
-            session.evaluator(wl, hw)
+        session.evaluator(wl, hw).evaluate(paper_candidates)
+        ev2 = session.evaluator(wl, hw)
+        ev2.evaluate(paper_candidates)
+        assert ev2.stats.evaluated == 0
+        assert ev2.stats.cache_hits == len(paper_candidates)
+        assert session.stats.evaluated == len(paper_candidates)
 
     def test_warm_cache_skips_older_schema_records(
         self, wl, hw, paper_candidates, tmp_path
@@ -214,8 +208,8 @@ class TestSession:
         they must be re-evaluated rather than served warm."""
         path = tmp_path / "runs.jsonl"
         with ResultStore(path) as store:
-            with ExplorationSession(store=store) as session:
-                session.evaluator(wl, hw).evaluate(paper_candidates)
+            session = ExplorationSession(store=store)
+            session.evaluator(wl, hw).evaluate(paper_candidates)
         # age every persisted record back to schema 1
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         for rec in lines:
@@ -223,13 +217,64 @@ class TestSession:
         path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in lines))
 
         with ResultStore(path) as store:
-            with ExplorationSession(store=store) as session:
-                assert session.warm_size == 0
-                session.evaluator(wl, hw).evaluate(paper_candidates)
-                assert session.stats.evaluated == len(paper_candidates)
-                assert session.stats.warm_hits == 0
-                # the store already holds the fingerprints: nothing re-appended
-                assert session.stats.store_skips == len(paper_candidates)
+            session = ExplorationSession(store=store)
+            assert session.warm_size == 0
+            session.evaluator(wl, hw).evaluate(paper_candidates)
+            assert session.stats.evaluated == len(paper_candidates)
+            assert session.stats.warm_hits == 0
+            # the store already holds the fingerprints: nothing re-appended
+            assert session.stats.store_skips == len(paper_candidates)
+
+
+class TestCallerOwnsTheStore:
+    """Nothing in the evaluation layer closes a store it was handed: after
+    each call returns, the same store still appends and records errors,
+    and only the caller's ``close()`` ends it."""
+
+    @pytest.fixture
+    def store(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "owned.jsonl")
+        closes: list[int] = []
+        real_close = store.close
+        monkeypatch.setattr(
+            store, "close", lambda: (closes.append(1), real_close())[1]
+        )
+        store.closes = closes
+        return store
+
+    @staticmethod
+    def assert_still_the_callers(store):
+        assert store.closes == []
+        assert store.append({"fingerprint": "appended-by-caller"})
+        store.record_error("recorded-by-caller", "ValueError: caller")
+        assert "appended-by-caller" in store
+        assert store.errors()["recorded-by-caller"] == "ValueError: caller"
+        store.close()
+        assert store.closes == [1]
+
+    def test_run_campaign(self, store):
+        spec = tiny_spec(
+            datasets=["mutag"],
+            source=CandidateSource("table5", {"configs": ["Seq1"]}),
+        )
+        run_campaign(spec, store=store)
+        self.assert_still_the_callers(store)
+
+    def test_sweep_on_a_store_backed_session(self, store, wl, hw):
+        from repro.analysis.sweep import sweep_pe_allocation
+
+        sweep_pe_allocation(
+            wl, hw, config_names=("PP1",), splits=(0.5,),
+            session=ExplorationSession(store=store),
+        )
+        assert len(store) == 1  # the swept 50-50 point is the baseline
+        self.assert_still_the_callers(store)
+
+    def test_service_close_leaves_a_passed_store_open(self, store):
+        from repro.serving import DataflowService
+
+        DataflowService(store=store).close()
+        self.assert_still_the_callers(store)
 
 
 # ----------------------------------------------------------------------

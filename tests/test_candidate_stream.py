@@ -66,51 +66,51 @@ def eager_fingerprints(ev: DataflowEvaluator, candidates) -> list[str]:
 @pytest.mark.parametrize("hw", FUZZ_HW, ids=lambda h: f"pes{h.num_pes}")
 class TestStreamMatchesEagerLists:
     def test_paper_strategy(self, wl, hw):
-        with MappingOptimizer(wl, hw) as opt:
-            eager = [
-                (cfg.dataflow(), cfg.hint, {"config": name})
-                for name, cfg in PAPER_CONFIGS.items()
-            ]
-            expected = eager_fingerprints(opt.evaluator, eager)
-            stream = opt.candidate_stream("paper")
-            assert list(stream.fingerprints()) == expected
+        opt = MappingOptimizer(wl, hw)
+        eager = [
+            (cfg.dataflow(), cfg.hint, {"config": name})
+            for name, cfg in PAPER_CONFIGS.items()
+        ]
+        expected = eager_fingerprints(opt.evaluator, eager)
+        stream = opt.candidate_stream("paper")
+        assert list(stream.fingerprints()) == expected
 
     def test_exhaustive_strategy(self, wl, hw):
-        with MappingOptimizer(wl, hw) as opt:
-            eager = list(opt._seq_candidates()) + list(opt._pipeline_candidates())
-            expected = eager_fingerprints(opt.evaluator, eager)
-            stream = opt.candidate_stream("exhaustive")
-            assert list(stream.fingerprints()) == expected
-            # multiset equality is implied, but make the satellite claim
-            # explicit: nothing was dropped or duplicated along the way
-            assert sorted(stream.fingerprints()) == sorted(expected)
+        opt = MappingOptimizer(wl, hw)
+        eager = list(opt._seq_candidates()) + list(opt._pipeline_candidates())
+        expected = eager_fingerprints(opt.evaluator, eager)
+        stream = opt.candidate_stream("exhaustive")
+        assert list(stream.fingerprints()) == expected
+        # multiset equality is implied, but make the satellite claim
+        # explicit: nothing was dropped or duplicated along the way
+        assert sorted(stream.fingerprints()) == sorted(expected)
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     @pytest.mark.parametrize("n", [1, 17, 10_000])
     def test_random_strategy(self, wl, hw, seed, n):
-        with MappingOptimizer(wl, hw) as opt:
-            # The historical eager draw: materialize the pool, then index.
-            pool = list(opt._pipeline_candidates()) + list(opt._seq_candidates())
-            rng = np.random.default_rng(seed)
-            idx = rng.choice(len(pool), size=min(n, len(pool)), replace=False)
-            expected = eager_fingerprints(
-                opt.evaluator, (pool[i] for i in idx)
-            )
-            stream = opt.candidate_stream("random", n=n, seed=seed)
-            assert list(stream.fingerprints()) == expected
+        opt = MappingOptimizer(wl, hw)
+        # The historical eager draw: materialize the pool, then index.
+        pool = list(opt._pipeline_candidates()) + list(opt._seq_candidates())
+        rng = np.random.default_rng(seed)
+        idx = rng.choice(len(pool), size=min(n, len(pool)), replace=False)
+        expected = eager_fingerprints(
+            opt.evaluator, (pool[i] for i in idx)
+        )
+        stream = opt.candidate_stream("random", n=n, seed=seed)
+        assert list(stream.fingerprints()) == expected
 
 
 class TestStreamContracts:
     @pytest.fixture
     def ev(self):
-        with DataflowEvaluator(FUZZ_WORKLOADS[0], FUZZ_HW[0]) as ev:
-            yield ev
+        ev = DataflowEvaluator(FUZZ_WORKLOADS[0], FUZZ_HW[0])
+        yield ev
 
     def test_streams_are_reiterable(self, ev):
         wl, hw = FUZZ_WORKLOADS[0], FUZZ_HW[0]
-        with MappingOptimizer(wl, hw, evaluator=ev) as opt:
-            stream = opt.candidate_stream("exhaustive")
-            assert list(stream.fingerprints()) == list(stream.fingerprints())
+        opt = MappingOptimizer(wl, hw, session=ev.session)
+        stream = opt.candidate_stream("exhaustive")
+        assert list(stream.fingerprints()) == list(stream.fingerprints())
 
     def test_streams_are_lazy(self, ev):
         """Pulling k candidates must not walk the whole source."""
@@ -150,29 +150,29 @@ class TestStreamContracts:
         """A stream built for one (workload, hw) context must not leak its
         fingerprints into another context's memo."""
         wl = FUZZ_WORKLOADS[0]
-        with DataflowEvaluator(wl, FUZZ_HW[0]) as ev_a:
-            with DataflowEvaluator(wl, FUZZ_HW[1]) as ev_b:
-                stream_a = paper_config_stream(ev_a)
-                outcomes_b = ev_b.evaluate(list(stream_a))
-                fps_a = list(stream_a.fingerprints())
-                fps_b = [o.fingerprint for o in outcomes_b]
-                assert fps_a != fps_b  # different hardware, different hashes
-                direct_b = [
-                    ev_b.fingerprint(cfg.dataflow(), cfg.hint)
-                    for cfg in PAPER_CONFIGS.values()
-                ]
-                assert fps_b == direct_b
+        ev_a = DataflowEvaluator(wl, FUZZ_HW[0])
+        ev_b = DataflowEvaluator(wl, FUZZ_HW[1])
+        stream_a = paper_config_stream(ev_a)
+        outcomes_b = ev_b.evaluate(list(stream_a))
+        fps_a = list(stream_a.fingerprints())
+        fps_b = [o.fingerprint for o in outcomes_b]
+        assert fps_a != fps_b  # different hardware, different hashes
+        direct_b = [
+            ev_b.fingerprint(cfg.dataflow(), cfg.hint)
+            for cfg in PAPER_CONFIGS.values()
+        ]
+        assert fps_b == direct_b
 
 
 class TestDesignSpaceStream:
     def test_full_space_streams_lazily_and_uniquely(self):
         wl, hw = FUZZ_WORKLOADS[0], FUZZ_HW[0]
-        with DataflowEvaluator(wl, hw) as ev:
-            stream = design_space_stream(ev)
-            # lazy: the first few candidates cost a few candidates of work
-            head = list(itertools.islice(stream, 5))
-            assert len(head) == 5
-            fps = list(stream.fingerprints())
+        ev = DataflowEvaluator(wl, hw)
+        stream = design_space_stream(ev)
+        # lazy: the first few candidates cost a few candidates of work
+        head = list(itertools.islice(stream, 5))
+        assert len(head) == 5
+        fps = list(stream.fingerprints())
         # the paper's 6,656 choices, each with a distinct fingerprint
         assert len(fps) == 6656
         assert len(set(fps)) == 6656

@@ -588,11 +588,13 @@ class TestStatusSidecarDegradation:
 
     def test_load_counters_keeps_retired_counter_keys(self, tmp_path):
         """Sidecars written when the session still reported the validator's
-        grid counters load unchanged."""
+        grid counters and the stats cache's byte accounting load
+        unchanged."""
         path = tmp_path / "stats.json"
         snap = {
             "phase_hits": 5,
             "tilestats_evictions": 0,
+            "tilestats_peak_nbytes": 116864,
             "dense_grid_builds": 0,
             "streamed_chunk_passes": 1,
         }

@@ -279,18 +279,18 @@ class TestTileStatsCache:
 
         wl = workload_from_dataset(load_dataset("mutag"))
         df, hint = paper_dataflow("SP1")
-        with ExplorationSession() as session:
-            ev_a = session.evaluator(wl, AcceleratorConfig(num_pes=512))
-            ev_b = session.evaluator(wl, AcceleratorConfig(num_pes=256))
-            assert ev_a.tilestats is ev_b.tilestats
-            assert ev_a.ctx_key != ev_b.ctx_key
-            ev_a.evaluate_one(df, hint)
-            hits_before = ev_a.tilestats.hits
-            ev_b.evaluate_one(df, hint)
-            # The second context reused at least part of the first's scans
-            # (identical t_n entries; t_v may differ with the PE budget).
-            assert ev_b.tilestats.hits >= hits_before
-            assert ev_b.tilestats.misses > 0
+        session = ExplorationSession()
+        ev_a = session.evaluator(wl, AcceleratorConfig(num_pes=512))
+        ev_b = session.evaluator(wl, AcceleratorConfig(num_pes=256))
+        assert ev_a.tilestats is ev_b.tilestats
+        assert ev_a.ctx_key != ev_b.ctx_key
+        ev_a.evaluate_one(df, hint)
+        hits_before = ev_a.tilestats.hits
+        ev_b.evaluate_one(df, hint)
+        # The second context reused at least part of the first's scans
+        # (identical t_n entries; t_v may differ with the PE budget).
+        assert ev_b.tilestats.hits >= hits_before
+        assert ev_b.tilestats.misses > 0
 
     def test_second_candidate_hits_cache_in_session(self):
         """Cache-hit counter assertion from the acceptance criteria: the
@@ -304,16 +304,16 @@ class TestTileStatsCache:
         hw = AcceleratorConfig(num_pes=512)
         df1, hint1 = paper_dataflow("SP1")
         df2, hint2 = paper_dataflow("SP2")
-        with ExplorationSession() as session:
-            ev = session.evaluator(wl, hw)
-            ev.evaluate_one(df1, hint1)
-            misses_first = ev.tilestats.misses
-            hits_first = ev.tilestats.hits
-            ev.evaluate_one(df2, hint2)
-            assert ev.tilestats.hits > hits_first
-            # Different tilings may add entries, but the per-t_n degree
-            # scans of candidate 1 are never re-derived.
-            assert ev.tilestats.misses - misses_first < misses_first
+        session = ExplorationSession()
+        ev = session.evaluator(wl, hw)
+        ev.evaluate_one(df1, hint1)
+        misses_first = ev.tilestats.misses
+        hits_first = ev.tilestats.hits
+        ev.evaluate_one(df2, hint2)
+        assert ev.tilestats.hits > hits_first
+        # Different tilings may add entries, but the per-t_n degree
+        # scans of candidate 1 are never re-derived.
+        assert ev.tilestats.misses - misses_first < misses_first
 
 
 class TestVectorizedPipelineEdgeCases:

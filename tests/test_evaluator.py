@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis.store import ResultStore
 from repro.arch.config import AcceleratorConfig
+from repro.campaign.session import ExplorationSession
 from repro.core.configs import PAPER_CONFIGS
 from repro.core.evaluator import DataflowEvaluator, candidate_fingerprint
 from repro.core.legality import LegalityError, validate_dataflow
@@ -88,21 +89,54 @@ class TestOrder:
     def test_order_preserved(self, wl, hw, paper_candidates):
         # The batch is evaluated sorted by mapping group; outcomes come
         # back in candidate order regardless.
-        with DataflowEvaluator(wl, hw) as ev:
-            outcomes = ev.evaluate(paper_candidates)
+        ev = DataflowEvaluator(wl, hw)
+        outcomes = ev.evaluate(paper_candidates)
         assert [o.label for o in outcomes] == list(PAPER_CONFIGS)
         assert [o.index for o in outcomes] == list(range(len(paper_candidates)))
 
 
+class TestLifecycle:
+    def test_context_manager_is_a_no_op(self, wl, hw, paper_candidates):
+        """An evaluator holds only process memory: leaving a ``with`` block
+        releases nothing, so the evaluator keeps working after it."""
+        with DataflowEvaluator(wl, hw) as ev:
+            ev.evaluate(paper_candidates)
+        again = ev.evaluate(paper_candidates)
+        assert all(o.cached for o in again)
+
+
+class TestTileStatsFootprint:
+    def test_one_array_per_tile_key_on_the_full_design_space(self):
+        """The sparsity cache grows with the set of tile sizes a sweep
+        visits, never with the number of candidates: every miss adds one
+        array that then stays, and MUTAG's whole 6,656-point design space
+        at 512 PEs visits 14 tile keys, two of them neighbor-tile sizes."""
+        from repro.core.enumeration import design_space_stream
+        from repro.core.workload import workload_from_dataset
+        from repro.graphs.datasets import load_dataset
+
+        wl = workload_from_dataset(load_dataset("mutag"))
+        ev = DataflowEvaluator(wl, AcceleratorConfig(num_pes=512))
+        assert len(ev.evaluate(design_space_stream(ev))) == 6656
+        stats = ev.tilestats
+        entries = len(stats._per_v_steps) + len(stats._vtile_steps)
+        assert entries == stats.misses == 14
+        assert set(stats._per_v_steps) == {1, 2}
+        assert all(
+            not a.flags.writeable
+            for a in (*stats._per_v_steps.values(), *stats._vtile_steps.values())
+        )
+
+
 class TestMemoization:
     def test_cache_hits_skip_reevaluation(self, wl, hw, paper_candidates):
-        with DataflowEvaluator(wl, hw) as ev:
-            first = ev.evaluate(paper_candidates)
-            assert ev.stats.evaluated == len(paper_candidates)
-            assert ev.stats.cache_hits == 0
-            second = ev.evaluate(paper_candidates)
-            assert ev.stats.evaluated == len(paper_candidates)  # unchanged
-            assert ev.stats.cache_hits == len(paper_candidates)
+        ev = DataflowEvaluator(wl, hw)
+        first = ev.evaluate(paper_candidates)
+        assert ev.stats.evaluated == len(paper_candidates)
+        assert ev.stats.cache_hits == 0
+        second = ev.evaluate(paper_candidates)
+        assert ev.stats.evaluated == len(paper_candidates)  # unchanged
+        assert ev.stats.cache_hits == len(paper_candidates)
         assert all(not o.cached for o in first)
         assert all(o.cached for o in second)
         assert [o.fingerprint for o in first] == [o.fingerprint for o in second]
@@ -110,8 +144,8 @@ class TestMemoization:
     def test_duplicates_within_one_batch(self, wl, hw):
         cfg = PAPER_CONFIGS["Seq1"]
         dup = [(cfg.dataflow(), cfg.hint)] * 3
-        with DataflowEvaluator(wl, hw) as ev:
-            outcomes = ev.evaluate(dup)
+        ev = DataflowEvaluator(wl, hw)
+        outcomes = ev.evaluate(dup)
         assert ev.stats.evaluated == 1
         assert ev.stats.cache_hits == 2
         cycles = {o.result.total_cycles for o in outcomes}
@@ -126,8 +160,8 @@ class TestErrors:
             (illegal_pp_dataflow(), None),
             (PAPER_CONFIGS["PP1"].dataflow(), PAPER_CONFIGS["PP1"].hint),
         ]
-        with DataflowEvaluator(wl, hw) as ev:
-            outcomes = ev.evaluate(candidates)
+        ev = DataflowEvaluator(wl, hw)
+        outcomes = ev.evaluate(candidates)
         assert len(outcomes) == 3
         assert outcomes[0].ok and outcomes[2].ok
         bad = outcomes[1]
@@ -137,8 +171,8 @@ class TestErrors:
         assert ev.stats.errors == 1
 
     def test_to_record_refuses_failed_outcome(self, wl, hw):
-        with DataflowEvaluator(wl, hw) as ev:
-            outcome = ev.evaluate_one(illegal_pp_dataflow())
+        ev = DataflowEvaluator(wl, hw)
+        outcome = ev.evaluate_one(illegal_pp_dataflow())
         with pytest.raises(ValueError):
             ev.to_record(outcome)
 
@@ -150,12 +184,12 @@ class TestErrors:
         past them."""
         path = tmp_path / "runs.jsonl"
         with ResultStore(path) as store:
-            with DataflowEvaluator(wl, hw, store=store) as ev:
-                outcomes = ev.evaluate(paper_candidates, budget=2)
-                assert len(outcomes) == 2
-                assert all(o.ok for o in outcomes)
-                assert ev.stats.evaluated == 2
-                assert ev.stats.persisted == 2
+            ev = ExplorationSession(store=store).evaluator(wl, hw)
+            outcomes = ev.evaluate(paper_candidates, budget=2)
+            assert len(outcomes) == 2
+            assert all(o.ok for o in outcomes)
+            assert ev.stats.evaluated == 2
+            assert ev.stats.persisted == 2
 
     def test_budget_counts_only_legal(self, wl, hw):
         cfg = PAPER_CONFIGS["Seq1"]
@@ -165,8 +199,8 @@ class TestErrors:
             (PAPER_CONFIGS["Seq2"].dataflow(), PAPER_CONFIGS["Seq2"].hint),
             (PAPER_CONFIGS["SP1"].dataflow(), PAPER_CONFIGS["SP1"].hint),
         ]
-        with DataflowEvaluator(wl, hw) as ev:
-            outcomes = ev.evaluate(candidates, budget=2)
+        ev = DataflowEvaluator(wl, hw)
+        outcomes = ev.evaluate(candidates, budget=2)
         assert sum(o.ok for o in outcomes) == 2
         # the illegal candidate was still reported along the way
         assert sum(not o.ok for o in outcomes) == 1
@@ -178,49 +212,30 @@ class TestStoreStreaming:
     ):
         path = tmp_path / "runs.jsonl"
         with ResultStore(path) as store:
-            with DataflowEvaluator(wl, hw, store=store) as ev:
-                ev.evaluate(paper_candidates)
-                assert ev.stats.persisted == len(paper_candidates)
+            ev = ExplorationSession(store=store).evaluator(wl, hw)
+            ev.evaluate(paper_candidates)
+            assert ev.stats.persisted == len(paper_candidates)
         assert len(ResultStore(path)) == len(paper_candidates)
 
         # A fresh evaluator (cold memo) against the same store answers
         # every candidate from the warm cache: zero cost-model runs, and
         # nothing new to persist.
         with ResultStore(path) as store:
-            with DataflowEvaluator(wl, hw, store=store) as ev2:
-                outcomes = ev2.evaluate(paper_candidates)
-                assert ev2.stats.evaluated == 0
-                assert ev2.stats.warm_hits == len(paper_candidates)
-                assert ev2.stats.persisted == 0
-                assert all(o.ok and o.record is not None for o in outcomes)
-        assert len(ResultStore(path)) == len(paper_candidates)
-
-    def test_warm_false_keeps_store_write_only(
-        self, wl, hw, paper_candidates, tmp_path
-    ):
-        path = tmp_path / "runs.jsonl"
-        with ResultStore(path) as store:
-            with DataflowEvaluator(wl, hw, store=store) as ev:
-                ev.evaluate(paper_candidates)
-
-        # warm=False: the pre-campaign behaviour — the model re-runs and
-        # the store's dedup index absorbs the duplicate appends.
-        with ResultStore(path) as store:
-            with DataflowEvaluator(wl, hw, store=store, warm=False) as ev2:
-                ev2.evaluate(paper_candidates)
-                assert ev2.stats.evaluated == len(paper_candidates)
-                assert ev2.stats.warm_hits == 0
-                assert ev2.stats.persisted == 0
-                assert ev2.stats.store_skips == len(paper_candidates)
+            ev2 = ExplorationSession(store=store).evaluator(wl, hw)
+            outcomes = ev2.evaluate(paper_candidates)
+            assert ev2.stats.evaluated == 0
+            assert ev2.stats.warm_hits == len(paper_candidates)
+            assert ev2.stats.persisted == 0
+            assert all(o.ok and o.record is not None for o in outcomes)
         assert len(ResultStore(path)) == len(paper_candidates)
 
     def test_record_extras_merged(self, wl, hw, tmp_path):
         cfg = PAPER_CONFIGS["Seq1"]
         store = ResultStore(tmp_path / "r.jsonl")
-        with DataflowEvaluator(
-            wl, hw, store=store, record_extra={"dataset": "er"}
-        ) as ev:
-            ev.evaluate([(cfg.dataflow(), cfg.hint, {"config": "Seq1"})])
+        ev = ExplorationSession(store=store).evaluator(
+            wl, hw, record_extra={"dataset": "er"}
+        )
+        ev.evaluate([(cfg.dataflow(), cfg.hint, {"config": "Seq1"})])
         (record,) = store.records()
         assert record["dataset"] == "er"
         assert record["config"] == "Seq1"
@@ -232,7 +247,9 @@ class TestSweepIntegration:
         from repro.analysis.sweep import sweep_pe_allocation
 
         store = ResultStore(tmp_path / "fig14.jsonl")
-        rows = sweep_pe_allocation(wl, hw, store=store)
+        rows = sweep_pe_allocation(
+            wl, hw, session=ExplorationSession(store=store)
+        )
         store.close()
         records = store.records()
         # the 50-50 baseline dedups against its swept twin, yet every
@@ -244,7 +261,10 @@ class TestSweepIntegration:
         from repro.analysis.sweep import sweep_bandwidth
 
         store = ResultStore(tmp_path / "fig16.jsonl")
-        rows = sweep_bandwidth(wl, bandwidths=(64, 32), num_pes=64, store=store)
+        rows = sweep_bandwidth(
+            wl, bandwidths=(64, 32), num_pes=64,
+            session=ExplorationSession(store=store),
+        )
         store.close()
         records = store.records()
         assert len(records) == len(rows)  # baseline was a memo hit, not a row
@@ -288,9 +308,9 @@ class TestOptimizerIntegration:
     def test_search_reuses_memo_across_calls(self, wl, hw):
         from repro.core.optimizer import MappingOptimizer
 
-        with MappingOptimizer(wl, hw) as opt:
-            opt.exhaustive(budget=40)
-            evaluated = opt.evaluator.stats.evaluated
-            opt.exhaustive(budget=40)
-            assert opt.evaluator.stats.evaluated == evaluated
-            assert opt.evaluator.stats.cache_hits > 0
+        opt = MappingOptimizer(wl, hw)
+        opt.exhaustive(budget=40)
+        evaluated = opt.evaluator.stats.evaluated
+        opt.exhaustive(budget=40)
+        assert opt.evaluator.stats.evaluated == evaluated
+        assert opt.evaluator.stats.cache_hits > 0

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import errno
 import json
-import pickle
 from pathlib import Path
 
 import pytest
@@ -23,11 +22,7 @@ from repro.campaign.runner import CampaignCheckpoint
 from repro.cli import main
 from repro.distributed import DistributedCoordinator
 from repro.distributed.coordinator import load_coordinator_state
-from repro.errors import (
-    BudgetExhausted,
-    DistributedError,
-    ReproError,
-)
+from repro.errors import BudgetExhausted, DistributedError
 from repro.faults import injector as fault_injector
 from repro.faults.harness import run_harness
 from repro.faults.injector import (
@@ -239,13 +234,6 @@ class TestInjector:
         with pytest.raises(OSError) as exc:
             inj.check("store.append")
         assert exc.value.errno == errno.ENOSPC
-
-    def test_injected_fault_pickles_intact(self):
-        err = InjectedFault("serving.live_search", "raise", 3)
-        back = pickle.loads(pickle.dumps(err))
-        assert type(back) is InjectedFault
-        assert (back.site, back.kind, back.hit) == ("serving.live_search", "raise", 3)
-        assert isinstance(back, ReproError)
 
     def test_activate_env_round_trip(self, tmp_path):
         plan = one_site_plan("store.append", "torn_write")

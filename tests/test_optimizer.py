@@ -112,16 +112,21 @@ class TestWarmRestart:
 
     def test_exhaustive_resumes_from_store(self, wl, hw, tmp_path):
         from repro.analysis.store import ResultStore
+        from repro.campaign.session import ExplorationSession
 
         path = tmp_path / "search.jsonl"
         with ResultStore(path) as store:
-            with MappingOptimizer(wl, hw, store=store) as opt:
-                first = opt.exhaustive(budget=40)
+            opt = MappingOptimizer(
+                wl, hw, session=ExplorationSession(store=store)
+            )
+            first = opt.exhaustive(budget=40)
         with ResultStore(path) as store:
-            with MappingOptimizer(wl, hw, store=store) as opt2:
-                second = opt2.exhaustive(budget=40)
-                assert opt2.evaluator.stats.evaluated == 0
-                assert opt2.evaluator.stats.warm_hits > 0
+            opt2 = MappingOptimizer(
+                wl, hw, session=ExplorationSession(store=store)
+            )
+            second = opt2.exhaustive(budget=40)
+            assert opt2.evaluator.stats.evaluated == 0
+            assert opt2.evaluator.stats.warm_hits > 0
         assert second.best_score == first.best_score
         assert str(second.best_dataflow) == str(first.best_dataflow)
         assert second.history == first.history
@@ -129,20 +134,25 @@ class TestWarmRestart:
 
     def test_refine_tiles_resumes_from_store(self, wl, hw, tmp_path):
         from repro.analysis.store import ResultStore
+        from repro.campaign.session import ExplorationSession
 
         df = parse_dataflow("Seq_AC(VsFsNt, VsGsFt)")
         st, gt = SpmmTiling(4, 8, 1), GemmTiling(8, 1, 6)
         path = tmp_path / "refine.jsonl"
         with ResultStore(path) as store:
-            with MappingOptimizer(wl, hw, store=store) as opt:
-                refined, rst, rgt = opt.refine_tiles(df, st, gt)
-                climbed = opt.evaluator.stats.evaluated
+            opt = MappingOptimizer(
+                wl, hw, session=ExplorationSession(store=store)
+            )
+            refined, rst, rgt = opt.refine_tiles(df, st, gt)
+            climbed = opt.evaluator.stats.evaluated
         assert climbed > 0
         with ResultStore(path) as store:
-            with MappingOptimizer(wl, hw, store=store) as opt2:
-                refined2, rst2, rgt2 = opt2.refine_tiles(df, st, gt)
-                # every explicit-tiling probe answered from disk
-                assert opt2.evaluator.stats.evaluated == 0
+            opt2 = MappingOptimizer(
+                wl, hw, session=ExplorationSession(store=store)
+            )
+            refined2, rst2, rgt2 = opt2.refine_tiles(df, st, gt)
+            # every explicit-tiling probe answered from disk
+            assert opt2.evaluator.stats.evaluated == 0
         assert (rst2, rgt2) == (rst, rgt)
         assert refined2.total_cycles == refined.total_cycles
 

@@ -41,8 +41,8 @@ def mutag_reference():
     """One full 6,656-candidate sweep; _collect slices it per objective."""
     wl = _workload("mutag")
     hw = AcceleratorConfig(num_pes=512)
-    with DataflowEvaluator(wl, hw) as ev:
-        outcomes = ev.evaluate(design_space_stream(ev))
+    ev = DataflowEvaluator(wl, hw)
+    outcomes = ev.evaluate(design_space_stream(ev))
     return wl, hw, outcomes
 
 
@@ -51,8 +51,8 @@ class TestExhaustiveEquivalenceMutag:
     def test_matches_exhaustive_optimum(self, mutag_reference, objective):
         wl, hw, outcomes = mutag_reference
         ref = _collect(outcomes, objective)
-        with DataflowEvaluator(wl, hw) as ev:
-            report = pareto_search(ev, objective=objective)
+        ev = DataflowEvaluator(wl, hw)
+        report = pareto_search(ev, objective=objective)
         res = report.result
         assert res.best_outcome.label == ref.best_outcome.label
         assert res.best_score == ref.best_score
@@ -61,8 +61,8 @@ class TestExhaustiveEquivalenceMutag:
 
     def test_probe_accounting(self, mutag_reference):
         wl, hw, _ = mutag_reference
-        with DataflowEvaluator(wl, hw) as ev:
-            report = pareto_search(ev)
+        ev = DataflowEvaluator(wl, hw)
+        report = pareto_search(ev)
         # 2 phase orders x 2 phases x 48 intras at the full array, plus
         # the same grid again at the PP partition budgets.
         assert report.probes == 2 * 2 * 48 * 2
@@ -78,9 +78,9 @@ class TestExhaustiveEquivalenceTableIV:
     def test_matches_exhaustive_optimum(self, dataset):
         wl = _workload(dataset)
         hw = AcceleratorConfig(num_pes=512)
-        with DataflowEvaluator(wl, hw) as ev:
-            report = pareto_search(ev, objective="cycles")
-            outcomes = ev.evaluate(design_space_stream(ev))
+        ev = DataflowEvaluator(wl, hw)
+        report = pareto_search(ev, objective="cycles")
+        outcomes = ev.evaluate(design_space_stream(ev))
         ref = _collect(outcomes, "cycles")
         res = report.result
         assert res.best_outcome.label == ref.best_outcome.label
@@ -99,8 +99,8 @@ class TestGoldenBaselineCrossCheck:
         assert golden, "golden records missing"
         best_cfg = min(r["cycles"] for r in golden)
         wl = _workload(dataset)
-        with DataflowEvaluator(wl, AcceleratorConfig(num_pes=512)) as ev:
-            report = pareto_search(ev, objective="cycles")
+        ev = DataflowEvaluator(wl, AcceleratorConfig(num_pes=512))
+        report = pareto_search(ev, objective="cycles")
         assert report.result.best_score <= best_cfg
 
 
@@ -108,9 +108,9 @@ class TestOptimizerIntegration:
     def test_pareto_method_and_report(self, mutag_reference):
         wl, hw, outcomes = mutag_reference
         ref = _collect(outcomes, "cycles")
-        with MappingOptimizer(wl, hw, objective="cycles") as opt:
-            res = opt.pareto()
-            rep = opt.last_pareto_report
+        opt = MappingOptimizer(wl, hw, objective="cycles")
+        res = opt.pareto()
+        rep = opt.last_pareto_report
         assert res.best_outcome.label == ref.best_outcome.label
         assert res.best_score == ref.best_score
         assert rep is not None and rep.evaluated_fraction <= 0.25
@@ -118,23 +118,23 @@ class TestOptimizerIntegration:
     def test_candidate_stream_strategy(self, mutag_reference):
         wl, hw, outcomes = mutag_reference
         ref = _collect(outcomes, "cycles")
-        with MappingOptimizer(wl, hw) as opt:
-            stream = opt.candidate_stream("pareto")
-            outs = opt.evaluator.evaluate(stream)
+        opt = MappingOptimizer(wl, hw)
+        stream = opt.candidate_stream("pareto")
+        outs = opt.evaluator.evaluate(stream)
         res = _collect(outs, "cycles")
         assert res.best_outcome.label == ref.best_outcome.label
         assert res.best_score == ref.best_score
 
     def test_unknown_strategy_lists_pareto(self, mutag_reference):
         wl, hw, _ = mutag_reference
-        with MappingOptimizer(wl, hw) as opt:
-            with pytest.raises(ValueError, match="pareto"):
-                opt.candidate_stream("bogus")
+        opt = MappingOptimizer(wl, hw)
+        with pytest.raises(ValueError, match="pareto"):
+            opt.candidate_stream("bogus")
 
     def test_max_evals_truncates(self, mutag_reference):
         wl, hw, _ = mutag_reference
-        with DataflowEvaluator(wl, hw) as ev:
-            report = pareto_search(ev, max_evals=10)
+        ev = DataflowEvaluator(wl, hw)
+        report = pareto_search(ev, max_evals=10)
         assert report.result is not None
         assert len(report.result.history) <= 10
 

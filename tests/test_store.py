@@ -369,8 +369,8 @@ class TestWarmStartViaIndex:
             for name, cfg in PAPER_CONFIGS.items()
         ]
         with ResultStore(tmp_path / "r.jsonl") as store:
-            with ExplorationSession(store=store) as first:
-                first.evaluator(wl, hw).evaluate(candidates)
+            first = ExplorationSession(store=store)
+            first.evaluator(wl, hw).evaluate(candidates)
 
         store = ResultStore(tmp_path / "r.jsonl")
         monkeypatch.setattr(
@@ -378,18 +378,18 @@ class TestWarmStartViaIndex:
             "_full_scan",
             lambda self: pytest.fail("warm start must not scan the JSONL"),
         )
-        with ExplorationSession(store=store) as warm:
-            assert store.io_stats["full_scans"] == 0
-            assert store.io_stats["tail_scans"] == 0
-            assert warm.warm_size == len(candidates)
-            # preload itself parsed nothing
-            assert store.io_stats["record_loads"] == 0
-            outcomes = warm.evaluator(wl, hw).evaluate(candidates)
-            assert warm.stats.evaluated == 0
-            assert warm.stats.warm_hits == len(candidates)
-            assert all(o.ok and o.record is not None for o in outcomes)
-            # exactly one lazy line-read per distinct warm hit
-            assert store.io_stats["record_loads"] == len(candidates)
+        warm = ExplorationSession(store=store)
+        assert store.io_stats["full_scans"] == 0
+        assert store.io_stats["tail_scans"] == 0
+        assert warm.warm_size == len(candidates)
+        # preload itself parsed nothing
+        assert store.io_stats["record_loads"] == 0
+        outcomes = warm.evaluator(wl, hw).evaluate(candidates)
+        assert warm.stats.evaluated == 0
+        assert warm.stats.warm_hits == len(candidates)
+        assert all(o.ok and o.record is not None for o in outcomes)
+        # exactly one lazy line-read per distinct warm hit
+        assert store.io_stats["record_loads"] == len(candidates)
         store.close()
 
 
@@ -468,19 +468,19 @@ class TestErrorSidecarWarmIntegration:
         bad = ExplicitTiles(SpmmTiling(64, 64, 1), GemmTiling(1, 1, 1))
 
         with ResultStore(tmp_path / "r.jsonl") as store:
-            with ExplorationSession(store=store) as first:
-                out = first.evaluator(wl, hw).evaluate_one(df, bad)
-                assert not out.ok
-                assert first.stats.errors == 1
-                assert first.stats.errors_persisted == 1
+            first = ExplorationSession(store=store)
+            out = first.evaluator(wl, hw).evaluate_one(df, bad)
+            assert not out.ok
+            assert first.stats.errors == 1
+            assert first.stats.errors_persisted == 1
 
         with ResultStore(tmp_path / "r.jsonl") as store2:
-            with ExplorationSession(store=store2) as second:
-                assert second.warm_error_size == 1
-                out2 = second.evaluator(wl, hw).evaluate_one(df, bad)
-                assert not out2.ok and out2.error == out.error
-                assert second.stats.evaluated == 0
-                assert second.stats.warm_hits == 1
+            second = ExplorationSession(store=store2)
+            assert second.warm_error_size == 1
+            out2 = second.evaluator(wl, hw).evaluate_one(df, bad)
+            assert not out2.ok and out2.error == out.error
+            assert second.stats.evaluated == 0
+            assert second.stats.warm_hits == 1
 
 
 class TestSnapshot:
