@@ -13,18 +13,11 @@ fingerprint (e.g. a normalization baseline and its swept twin) persist a
 single record, so sweep coordinates for duplicates live in the sweep's
 returned rows, not in extra archive lines.
 
-Three sidecars ride along with the record archive:
+A store is its JSONL file; two sidecars ride along:
 
 - ``<store>.errors.jsonl`` — one ``{fingerprint, error}`` line per
   distinct illegal mapping, so a resumed campaign answers known-bad
   candidates from disk instead of re-probing them through the cost model;
-- ``<store>.index.json`` — an **offset index**: per-record byte offsets,
-  schema versions, and ``dataset@hw`` tags, written atomically (fsync +
-  rename) whenever the in-memory index has caught up with the file.  A
-  store opened with a valid index skips the full JSONL parse entirely:
-  only the bytes appended *after* the index was written are scanned, so
-  resume and warm-cache preload cost O(changed records), not O(store).
-  A stale, torn, or mismatched index is silently rebuilt from a full scan.
 - ``<store>.quarantine.jsonl`` — corrupted lines found *mid-file* (a torn
   fragment another writer appended past, bit rot) are **quarantined, not
   fatal**: the scan records ``{offset, line_no, bytes, preview}`` here,
@@ -32,15 +25,17 @@ Three sidecars ride along with the record archive:
   valid), and resumes.  Only a torn *final* line is physically healed.
   :meth:`ResultStore.compact` drops quarantined lines from the rewritten
   archive and reports them.
-- the archive itself stays pure export-schema lines that downstream
-  tooling can consume unfiltered; :meth:`ResultStore.compact` rewrites it
-  in place to drop duplicate-fingerprint lines accumulated by
-  uncoordinated writers (and refreshes the sidecars).
 
-Record *contents* are loaded lazily: opening a store materializes only
-the index, and :meth:`record_for` seeks to one line on demand.  The
-``io_stats`` counters (``full_scans`` / ``tail_scans`` / ``record_loads``
-/ ``index_used``) make the O(changed-records) claim testable.
+The archive itself stays pure export-schema lines that downstream tooling
+can consume unfiltered; :meth:`ResultStore.compact` rewrites it in place
+to drop duplicate-fingerprint lines accumulated by uncoordinated writers.
+
+Every file here is read by one scanner, :func:`_scan_jsonl`, in one of
+two modes: the *owner* mode of a resuming open heals the tail, the
+*read-only* mode of :meth:`ResultStore.peek` / :meth:`ResultStore.snapshot`
+never writes and stops at the last newline.  A resuming open is one full
+scan that keeps each record's byte offset, not its contents:
+:meth:`ResultStore.record_for` seeks to one line on demand.
 
 All mutating methods take an internal lock, so one store instance may be
 shared by several threads (serving's query workers).
@@ -58,116 +53,99 @@ from pathlib import Path
 from typing import IO, Iterator, Mapping
 
 from ..faults.injector import fault_point
-from ..ioutil import atomic_write_text
 from .export import record_to_json
 
 __all__ = [
     "ResultStore",
     "StoreSnapshot",
     "read_jsonl_healing",
-    "INDEX_SCHEMA",
 ]
 
-INDEX_SCHEMA = 1
 
-# Minimum appends between automatic index flushes: bounds how stale the
-# sidecar can get when a campaign is killed without close(), i.e. how
-# many tail records the next open has to re-scan.  The effective
-# interval grows with the store (a flush rewrites the whole sidecar, so
-# a fixed interval would cost O(N^2) over a long campaign); the tail
-# scan that absorbs the staleness is O(interval) either way.
-INDEX_FLUSH_EVERY = 512
+def read_jsonl_healing(path: Path, *, heal: bool, on_corrupt) -> list[dict]:
+    """Every record of a JSONL journal, read by :func:`_scan_jsonl`.
 
-# Bytes of the archive head folded into the index digest, guarding the
-# offsets against the JSONL being replaced wholesale behind the sidecar.
-_HEAD_DIGEST_BYTES = 4096
-
-
-def read_jsonl_healing(
-    path: Path, *, heal: bool, corrupt, on_quarantine=None
-) -> list[dict]:
-    """Parse a JSONL journal, tolerating a torn final line.
-
-    A writer killed mid-append leaves a partial JSON line at EOF (possibly
-    without its newline, which would corrupt the next append too).  That
-    lone record in flight is always *ignored*; with ``heal=True`` it is
-    also physically truncated away — only the path's owner may do that, a
-    concurrent writer might still be appending the very bytes that look
-    torn.  Malformed content anywhere else is real corruption: with
-    ``on_quarantine(offset, raw_line, line_no)`` provided the bad line is
-    reported and *skipped* (its bytes stay in place so later offsets hold);
-    otherwise ``corrupt(line_no)`` must build the exception to raise.
-
-    Shared by the result store, its error sidecar, and the campaign
-    checkpoint so the healing semantics can never drift apart.
+    ``heal=True`` is the path owner's mode, ``heal=False`` the read-only
+    mode; ``on_corrupt(offset, raw_line, line_no)`` decides what a
+    malformed mid-file line does (raise, quarantine, or skip).  Shared by
+    the result store, its sidecars, and the campaign checkpoint so the
+    healing semantics can never drift apart.
     """
-    entries, _ = _scan_jsonl(
-        path, start=0, heal=heal, corrupt=corrupt, on_quarantine=on_quarantine
+    records: list[dict] = []
+    _scan_jsonl(
+        path, heal=heal, on_corrupt=on_corrupt,
+        on_record=lambda offset, record: records.append(record),
     )
-    return [rec for _, _, rec in entries]
+    return records
+
+
+def _skip(offset: int, raw: bytes, line_no: int) -> None:
+    """``on_corrupt`` for readers that simply step over a malformed line."""
 
 
 def _scan_jsonl(
-    path: Path, *, start: int, heal: bool, corrupt, on_quarantine=None
-) -> tuple[list[tuple[int, int, dict]], int]:
-    """Offset-aware JSONL scan from byte ``start``.
+    path: Path, *, heal: bool, on_record, on_corrupt, start: int = 0
+) -> int:
+    """The one JSONL scanner: feed each record to ``on_record(offset,
+    record)`` from byte ``start``; returns the byte cursor the scan covers.
 
-    Returns ``(entries, end)`` where entries are ``(offset, nbytes,
-    record)`` with ``nbytes`` including the line's newline, and ``end``
-    is the byte cursor the caller's size accounting must resume from —
-    past any trailing blank lines (which carry no record but do occupy
-    bytes; losing them would skew every later offset) and reflecting any
-    healing performed.  Healing repairs the two EOF states a kill can
-    leave: a torn partial line is truncated away, and a *valid* final
-    line missing its newline (killed between the record write and the
-    newline write) gets the newline appended so the next append starts
-    on a fresh line.
+    Two modes, chosen by who may touch the file:
 
-    Malformed content anywhere *before* EOF is mid-file corruption — a
-    torn fragment another writer appended past, or bit rot.  When the
-    caller passes ``on_quarantine(offset, raw_line, line_no)`` the line
-    is reported and skipped in place (bytes are never rewritten, so every
-    later record's offset stays valid); without it, ``corrupt(line_no)``
-    builds the exception to raise.  For tail scans (``start > 0``) line
-    numbers are relative to the scanned suffix.
+    - **owner** (``heal=True``) repairs the two EOF states a kill can
+      leave.  A torn partial final line is truncated away; a *valid*
+      final line missing its newline (killed between the record write
+      and the newline write) is kept and newline-terminated so the next
+      append starts on a fresh line.  Only the path's owner may do this:
+      a concurrent writer might still be appending the bytes that look
+      torn.
+    - **read-only** (``heal=False``) never writes: whatever follows the
+      last newline is the writer's append in flight, left out of the
+      records *and* of the returned cursor.
+
+    A newline-terminated line that is not a JSON object is mid-file
+    corruption (a torn fragment another writer appended past, bit rot):
+    ``on_corrupt(offset, raw_line, line_no)`` raises, quarantines, or
+    skips it; its bytes stay in place so every later offset holds.  The
+    cursor covers blank lines too (they occupy bytes; losing them would
+    skew every later offset).  With ``start > 0`` line numbers count from
+    the scanned suffix.
     """
+    offset = start
+    tail = None  # the unterminated final line, if any
     with path.open("rb") as fh:
         fh.seek(start)
-        data = fh.read()
-    entries: list[tuple[int, int, dict]] = []
-    offset = start
-    lines = data.split(b"\n")
-    for i, line in enumerate(lines):
-        final = i == len(lines) - 1
-        if final and line == b"":
-            break  # clean trailing newline; offset already covers the data
-        if not line.strip():
-            offset += len(line) + 1
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if not final:
-                if on_quarantine is None:
-                    raise corrupt(i + 1)
-                on_quarantine(offset, line, i + 1)
-                offset += len(line) + 1
-                continue
-            if heal:
-                with path.open("r+b") as fh:
-                    fh.truncate(offset)
-            break
-        if final:
-            # Valid record, missing newline: keep it, repair the boundary.
-            if heal:
-                with path.open("ab") as fh:
-                    fh.write(b"\n")
-            entries.append((offset, len(line) + 1, record))
-            offset += len(line) + 1
-            break
-        entries.append((offset, len(line) + 1, record))
-        offset += len(line) + 1
-    return entries, offset
+        for line_no, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                tail = line
+                break
+            if line.strip():
+                try:
+                    record = _loads_object(line)
+                except ValueError:
+                    on_corrupt(offset, line[:-1], line_no)
+                else:
+                    on_record(offset, record)
+            offset += len(line)
+    if tail is None or not heal:
+        return offset
+    try:
+        record = _loads_object(tail)
+    except ValueError:
+        with path.open("r+b") as fh:
+            fh.truncate(offset)
+        return offset
+    with path.open("ab") as fh:
+        fh.write(b"\n")
+    on_record(offset, record)
+    return offset + len(tail) + 1
+
+
+def _loads_object(line: bytes) -> dict:
+    """One JSONL line as a record; ``ValueError`` unless a JSON object."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    return record
 
 
 @dataclass(frozen=True)
@@ -206,18 +184,15 @@ class ResultStore:
         The ``.jsonl`` file backing the store; parent directories are
         created on first append.
     resume:
-        When true (default) and ``path`` exists, its records' fingerprints
-        seed the dedup index, so a restarted campaign skips work already
-        persisted.  With a fresh ``<store>.index.json`` sidecar this costs
-        O(records appended since the index was written); without one, a
-        single full scan that immediately writes the sidecar for the next
-        open.  ``resume=False`` truncates the file (and sidecars) instead.
+        When true (default) and ``path`` exists, one scan of its records
+        seeds the dedup index, so a restarted campaign skips work already
+        persisted.  ``resume=False`` truncates the file (and sidecars)
+        instead.
     """
 
     def __init__(self, path: str | Path, *, resume: bool = True) -> None:
         self.path = Path(path)
         self.errors_path = self.path.with_name(self.path.stem + ".errors.jsonl")
-        self.index_path = self.path.with_name(self.path.stem + ".index.json")
         self.quarantine_path = self.path.with_name(
             self.path.stem + ".quarantine.jsonl"
         )
@@ -225,35 +200,21 @@ class ResultStore:
         self._fingerprints: set[str] = set()
         self._offsets: dict[str, int] = {}
         self._schemas: dict[str, int | None] = {}  # explicit-fingerprint records only
-        self._tags: dict[str, str | None] = {}
         self._tag_counts: dict[str, int] = {}
         self._order: list[str] = []  # fingerprints in first-appearance order
         self._loaded: dict[str, dict] = {}  # lazily parsed record contents
         self._errors: dict[str, str] = {}
         self._size = 0  # archive bytes covered by the in-memory index
         self._duplicate_lines = 0  # same-fingerprint lines seen on disk
-        self._quarantined_lines = 0  # corrupt mid-file lines skipped in place
         self._quarantine_offsets: set[int] | None = None  # lazily loaded
-        self._appends_since_flush = 0
-        self._index_dirty = False
         self._fh: IO[str] | None = None
         self._err_fh: IO[str] | None = None
-        self.io_stats = {
-            "full_scans": 0,
-            "tail_scans": 0,
-            "tail_records": 0,
-            "record_loads": 0,
-            "index_used": 0,
-            "index_rebuilt": 0,
-            "quarantined_lines": 0,
-        }
+        self.io_stats = {"full_scans": 0, "record_loads": 0, "quarantined_lines": 0}
         if self.path.exists():
             if resume:
-                self._open_resume()
+                self._full_scan()
             else:
                 self.path.unlink()
-                if self.index_path.exists():
-                    self.index_path.unlink()
                 if self.quarantine_path.exists():
                     self.quarantine_path.unlink()
         if self.errors_path.exists():
@@ -266,125 +227,12 @@ class ResultStore:
     # Open / recovery
     # ------------------------------------------------------------------
 
-    def _open_resume(self) -> None:
-        """Rebuild the in-memory index: from the sidecar when it is valid
-        (plus an O(changed) tail scan), from a full archive scan otherwise
-        — after which the sidecar is written so the *next* open is cheap."""
-        loaded = self._load_index()
-        if loaded is not None:
-            self.io_stats["index_used"] += 1
-            if self._size < self.path.stat().st_size:
-                self._scan_tail(self._size)
-        else:
-            self._full_scan()
-        # Keep the sidecar covering everything just scanned; a killed
-        # campaign then costs the next open only its un-indexed suffix.
-        if self._index_dirty:
-            self.write_index()
-
-    @classmethod
-    def _parse_index_sidecar(
-        cls, path: Path, index_path: Path
-    ) -> tuple[int, int, dict] | None:
-        """Validate the index sidecar against the archive and parse it.
-
-        The single gatekeeper for trusting on-disk offsets — used by the
-        resuming open *and* the read-only :meth:`peek`, so the validation
-        rules can never drift apart.  Returns ``(covered_bytes,
-        duplicate_lines, entries)`` with normalized ``fp -> (offset,
-        schema, explicit, tag)`` entries, or ``None`` when the sidecar is
-        missing, torn, from another schema, larger than the archive, not
-        newline-aligned at its boundary, or its head digest disagrees —
-        i.e. whenever the offsets cannot be trusted.
-        """
-        if not index_path.exists():
-            return None
-        try:
-            idx = json.loads(index_path.read_text(encoding="utf-8"))
-            if idx.get("index_schema") != INDEX_SCHEMA:
-                raise ValueError("unknown index schema")
-            covered = int(idx["store_bytes"])
-            if covered > path.stat().st_size:
-                raise ValueError("index covers more bytes than the archive holds")
-            head_bytes = int(idx.get("head_bytes", 0))
-            if cls._head_digest(path, head_bytes) != idx.get("head_digest"):
-                raise ValueError("archive head does not match the index")
-            if covered > 0:
-                with path.open("rb") as fh:
-                    fh.seek(covered - 1)
-                    if fh.read(1) != b"\n":
-                        raise ValueError("index boundary is not newline-aligned")
-            entries: dict[str, tuple] = {}
-            for fp, (offset, schema, explicit, tag) in idx["records"].items():
-                entries[fp] = (int(offset), schema, bool(explicit), tag)
-            return covered, int(idx.get("duplicate_lines", 0)), entries
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-
-    def _load_index(self) -> bool | None:
-        """Adopt the index sidecar if it provably matches the archive;
-        ``None`` (triggering a full scan) when it cannot be trusted."""
-        parsed = self._parse_index_sidecar(self.path, self.index_path)
-        if parsed is None:
-            if self.index_path.exists():
-                self.io_stats["index_rebuilt"] += 1
-            return None
-        covered, duplicate_lines, entries = parsed
-        for fp, (offset, schema, explicit, tag) in entries.items():
-            self._offsets[fp] = offset
-            if explicit:
-                self._schemas[fp] = schema
-            self._tags[fp] = tag
-            if tag is not None:
-                self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
-        self._fingerprints = set(self._offsets)
-        self._order = sorted(self._offsets, key=self._offsets.__getitem__)
-        self._size = covered
-        self._duplicate_lines = duplicate_lines
-        return True
-
-    @staticmethod
-    def _head_digest(path: Path, head_bytes: int) -> str:
-        with path.open("rb") as fh:
-            return hashlib.sha256(fh.read(head_bytes)).hexdigest()[:16]
-
     def _full_scan(self) -> None:
+        """Rebuild the in-memory index from one owner-mode archive scan."""
         self.io_stats["full_scans"] += 1
-        entries, end = _scan_jsonl(
-            self.path,
-            start=0,
-            heal=True,
-            corrupt=lambda n: ValueError(
-                f"{self.path}: corrupt record on line {n} "
-                "(not a torn final append); refusing to resume"
-            ),
-            on_quarantine=self._quarantine,
+        self._size = _scan_jsonl(
+            self.path, heal=True, on_record=self._adopt, on_corrupt=self._quarantine
         )
-        for offset, _, record in entries:
-            self._adopt(offset, record)
-        self._size = end
-        self._index_dirty = True
-
-    def _scan_tail(self, start: int) -> None:
-        """Index only the records appended after the sidecar was written."""
-        self.io_stats["tail_scans"] += 1
-        entries, end = _scan_jsonl(
-            self.path,
-            start=start,
-            heal=True,
-            corrupt=lambda n: ValueError(
-                f"{self.path}: corrupt record on tail line {n} "
-                f"(after byte {start}, not a torn final append); "
-                "refusing to resume"
-            ),
-            on_quarantine=self._quarantine,
-        )
-        for offset, _, record in entries:
-            self._adopt(offset, record)
-            self.io_stats["tail_records"] += 1
-        self._size = end
-        if end != start:
-            self._index_dirty = True
 
     def _quarantine(self, offset: int, raw: bytes, line_no: int) -> None:
         """Record one corrupt mid-file line and keep going.
@@ -393,20 +241,16 @@ class ResultStore:
         archive under a resuming campaign would invalidate every later
         offset); the sidecar entry is what ``store compact`` reports and
         what lets an operator recover the damaged payload.  Re-scans of
-        the same bytes (e.g. after an index rebuild) dedup by offset.
+        the same bytes (a later reopen) dedup by offset.
         """
-        self._quarantined_lines += 1
         self.io_stats["quarantined_lines"] += 1
         if self._quarantine_offsets is None:
             self._quarantine_offsets = set()
             if self.quarantine_path.exists():
-                for line in self.quarantine_path.read_text(
-                    encoding="utf-8"
-                ).splitlines():
-                    try:
-                        self._quarantine_offsets.add(int(json.loads(line)["offset"]))
-                    except (ValueError, KeyError, TypeError):
-                        continue
+                for entry in read_jsonl_healing(
+                    self.quarantine_path, heal=True, on_corrupt=_skip
+                ):
+                    self._quarantine_offsets.add(entry.get("offset"))
         if offset in self._quarantine_offsets:
             return
         self._quarantine_offsets.add(offset)
@@ -416,7 +260,6 @@ class ResultStore:
             "bytes": len(raw) + 1,
             "preview": raw[:160].decode("utf-8", errors="replace"),
         }
-        self.quarantine_path.parent.mkdir(parents=True, exist_ok=True)
         with self.quarantine_path.open("a", encoding="utf-8", newline="") as fh:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
@@ -432,7 +275,6 @@ class ResultStore:
         if record.get("fingerprint"):
             self._schemas[fp] = record.get("schema")
         tag = self._record_tag(record)
-        self._tags[fp] = tag
         if tag is not None:
             self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
 
@@ -441,20 +283,9 @@ class ResultStore:
         the record archive does.  The sidecar is advisory (worst case a
         known-bad candidate is re-probed once), so corrupt mid-file
         entries are skipped rather than quarantined or fatal."""
-        entries = read_jsonl_healing(
-            self.errors_path,
-            heal=True,
-            corrupt=lambda n: ValueError(
-                f"{self.errors_path}: corrupt entry on line {n} "
-                "(not a torn final append); refusing to resume"
-            ),
-            on_quarantine=lambda offset, raw, n: None,
+        return _error_map(
+            read_jsonl_healing(self.errors_path, heal=True, on_corrupt=_skip)
         )
-        return {
-            str(e["fingerprint"]): str(e.get("error", ""))
-            for e in entries
-            if e.get("fingerprint")
-        }
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -487,13 +318,7 @@ class ResultStore:
 
         Returns ``True`` when a line was written, ``False`` on a dedup
         skip.  Lines are flushed eagerly so a killed campaign loses at
-        most the record in flight; the index sidecar is refreshed on
-        :meth:`close` and periodically during long append runs — every
-        ``max(INDEX_FLUSH_EVERY, records/4)`` appends, an interval that
-        grows with the store because each flush rewrites the whole
-        sidecar (a fixed interval would cost O(N^2) over a campaign).
-        A kill therefore leaves at most ~25% of the records un-indexed,
-        and the next open tail-scans exactly that suffix.
+        most the record in flight.
         """
         with self._lock:
             fp = self.record_fingerprint(record)
@@ -502,8 +327,8 @@ class ResultStore:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 # newline="" disables universal-newline translation: the
-                # byte-offset accounting (and the index built from it)
-                # requires one written "\n" to be exactly one byte.
+                # byte-offset accounting requires one written "\n" to be
+                # exactly one byte.
                 self._fh = self.path.open("a", encoding="utf-8", newline="")
             line = record_to_json(record)
             act = fault_point("store.append")
@@ -526,12 +351,6 @@ class ResultStore:
             self._adopt(offset, dict(record))
             self._loaded[fp] = dict(record)
             self._size = offset + len(line.encode("utf-8")) + 1
-            self._index_dirty = True
-            self._appends_since_flush += 1
-            if self._appends_since_flush >= max(
-                INDEX_FLUSH_EVERY, len(self._order) // 4
-            ):
-                self.write_index()
             return True
 
     def extend(self, records: Iterator[Mapping] | list) -> int:
@@ -582,9 +401,9 @@ class ResultStore:
     def record_for(self, fingerprint: str) -> dict:
         """The record behind one fingerprint, parsed on demand.
 
-        Seeks straight to the record's byte offset — an index-backed warm
-        start pays one line parse per warm *hit* instead of one full-file
-        parse per session.  Parsed records are cached; treat them as
+        Seeks straight to the record's byte offset — a warm start pays
+        one line parse per warm *hit*; the open's scan keeps offsets, not
+        record contents.  Parsed records are cached; treat them as
         read-only.
         """
         with self._lock:
@@ -602,9 +421,8 @@ class ResultStore:
         """All records, in first-appearance order (duplicate-fingerprint
         lines collapse onto their first occurrence).
 
-        Loads lazily: an index-backed store parses the archive only when
-        record *contents* are actually requested; the dicts are cached and
-        shared, not copied — treat them as read-only.
+        Loads lazily, one line per not-yet-parsed record; the dicts are
+        cached and shared, not copied — treat them as read-only.
         """
         with self._lock:
             return [self.record_for(fp) for fp in self._order]
@@ -626,98 +444,34 @@ class ResultStore:
             return dict(self._tag_counts)
 
     # ------------------------------------------------------------------
-    # Index sidecar
+    # Read-only views
     # ------------------------------------------------------------------
-
-    def write_index(self) -> Path:
-        """Atomically (re)write ``<store>.index.json`` covering the
-        current archive; returns the sidecar path."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-            payload = {
-                "index_schema": INDEX_SCHEMA,
-                "store_bytes": self._size,
-                "head_bytes": min(self._size, _HEAD_DIGEST_BYTES),
-                "head_digest": (
-                    self._head_digest(self.path, min(self._size, _HEAD_DIGEST_BYTES))
-                    if self.path.exists()
-                    else hashlib.sha256(b"").hexdigest()[:16]
-                ),
-                "record_count": len(self._order),
-                "duplicate_lines": self._duplicate_lines,
-                "records": {
-                    fp: [
-                        self._offsets[fp],
-                        self._schemas.get(fp),
-                        1 if fp in self._schemas else 0,
-                        self._tags.get(fp),
-                    ]
-                    for fp in self._order
-                },
-            }
-            act = fault_point("store.index_write")
-            if act is not None and act.kind == "drop":
-                # Simulated fsync loss: the writer believes the sidecar
-                # landed (counters reset) but no bytes hit disk.  The next
-                # open detects the stale sidecar and tail-scans past it.
-                self._index_dirty = False
-                self._appends_since_flush = 0
-                return self.index_path
-            atomic_write_text(
-                self.index_path,
-                json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-            )
-            self._index_dirty = False
-            self._appends_since_flush = 0
-            return self.index_path
 
     @classmethod
     def peek(cls, path: str | Path) -> dict:
         """Read-only progress snapshot (for ``repro campaign status``).
 
-        Counts distinct records and per-``dataset[@hw]`` tags using the
-        index sidecar when it is valid — scanning only the un-indexed tail
-        — and a plain streaming parse otherwise.  Never writes, heals, or
-        rebuilds anything: a concurrently running campaign may own the
-        files.  A torn final line is silently ignored.
+        Counts distinct records and per-``dataset[@hw]`` tags in one
+        read-only scan.  Never writes, heals, or rebuilds anything: a
+        concurrently running campaign may own the files.  An in-flight
+        final line and corrupt mid-file lines are left out, exactly as
+        :meth:`snapshot` leaves them out.
         """
         path = Path(path)
-        out: dict = {"records": 0, "unit_counts": {}, "indexed": False}
-        if not path.exists():
-            return out
-        index_path = path.with_name(path.stem + ".index.json")
-        start = 0
         fingerprints: set[str] = set()
         counts: dict[str, int] = {}
-        parsed = cls._parse_index_sidecar(path, index_path)
-        if parsed is not None:
-            covered, _, entries = parsed
-            for fp, (_, _, _, tag) in entries.items():
-                fingerprints.add(fp)
-                if tag is not None:
-                    counts[tag] = counts.get(tag, 0) + 1
-            start = covered
-            out["indexed"] = True
-        with path.open("rb") as fh:
-            fh.seek(start)
-            for line in fh:
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn in-flight line (or foreign bytes): skip
-                fp = cls.record_fingerprint(record)
-                if fp in fingerprints:
-                    continue
+
+        def count(offset: int, record: dict) -> None:
+            fp = cls.record_fingerprint(record)
+            if fp not in fingerprints:
                 fingerprints.add(fp)
                 tag = cls._record_tag(record)
                 if tag is not None:
                     counts[tag] = counts.get(tag, 0) + 1
-        out["records"] = len(fingerprints)
-        out["unit_counts"] = counts
-        return out
+
+        if path.exists():
+            _scan_jsonl(path, heal=False, on_record=count, on_corrupt=_skip)
+        return {"records": len(fingerprints), "unit_counts": counts}
 
     @classmethod
     def snapshot(
@@ -739,7 +493,9 @@ class ResultStore:
         - the result is a **consistent prefix**: every record whose
           newline had landed on disk when the scan passed it, first
           fingerprint occurrence winning, in append order — exactly what
-          a resuming ``ResultStore`` open would adopt for those bytes;
+          a resuming ``ResultStore`` open would adopt for those bytes
+          (corrupt mid-file lines, which that open quarantines, are
+          skipped);
         - passing the previous snapshot as ``since`` makes the refresh
           **incremental**: only bytes appended after ``since`` are
           parsed (O(changed records)), with the earlier records shared,
@@ -752,7 +508,6 @@ class ResultStore:
         taken_at = time.time()
         records: list[dict] = []
         fingerprints: set[str] = set()
-        errors: dict[str, str] = {}
         start = 0
         if since is not None and Path(since.path) == path:
             try:
@@ -762,48 +517,24 @@ class ResultStore:
                     start = since.covered_bytes
             except OSError:
                 pass
+
+        def keep(offset: int, record: dict) -> None:
+            fp = cls.record_fingerprint(record)
+            if fp not in fingerprints:
+                fingerprints.add(fp)
+                records.append(record)
+
         covered = start
         if path.exists():
-            with path.open("rb") as fh:
-                fh.seek(start)
-                data = fh.read()
-            offset = start
-            for line in data.split(b"\n")[:-1]:
-                # Iterating only newline-terminated lines: whatever sits
-                # after the final "\n" is the writer's append in flight.
-                nbytes = len(line) + 1
-                if line.strip():
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        # Corrupt *terminated* line mid-file (a torn
-                        # fragment an O_APPEND writer appended past): skip
-                        # it, exactly as a resuming open quarantines it.
-                        # In-flight bytes never get here — they sit after
-                        # the final "\n" and are excluded by the split.
-                        offset += nbytes
-                        covered = offset
-                        continue
-                    fp = cls.record_fingerprint(record)
-                    if fp not in fingerprints:
-                        fingerprints.add(fp)
-                        records.append(record)
-                offset += nbytes
-                covered = offset
+            covered = _scan_jsonl(
+                path, start=start, heal=False, on_record=keep, on_corrupt=_skip
+            )
         errors_path = path.with_name(path.stem + ".errors.jsonl")
-        if errors_path.exists():
-            with errors_path.open("rb") as fh:
-                for line in fh.read().split(b"\n")[:-1]:
-                    if not line.strip():
-                        continue
-                    try:
-                        entry = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # advisory sidecar: skip corrupt entries
-                    if entry.get("fingerprint"):
-                        errors.setdefault(
-                            str(entry["fingerprint"]), str(entry.get("error", ""))
-                        )
+        errors = (
+            _error_map(read_jsonl_healing(errors_path, heal=False, on_corrupt=_skip))
+            if errors_path.exists()
+            else {}
+        )
         return StoreSnapshot(
             path=path,
             records=records,
@@ -826,8 +557,8 @@ class ResultStore:
         re-discards.  Compaction rewrites the JSONL atomically with first
         occurrences only — corrupt lines previously quarantined in place
         drop out of the rewrite, and the quarantine sidecar is cleared —
-        dedups the error sidecar the same way, and refreshes the offset
-        index.  Returns accounting, e.g.::
+        dedups the error sidecar the same way, and re-scans the rewritten
+        archive.  Returns accounting, e.g.::
 
             {"records_kept": 18, "lines_dropped": 3, "lines_quarantined": 1,
              "bytes_before": ..., "bytes_after": ..., "errors_kept": 2,
@@ -836,58 +567,28 @@ class ResultStore:
         with self._lock:
             self.close()
             bytes_before = self.path.stat().st_size if self.path.exists() else 0
-            records = self.records() if self.path.exists() else []
             lines_dropped = self._duplicate_lines
-            lines_quarantined = 0
-            if self.quarantine_path.exists():
-                lines_quarantined = sum(
-                    1
-                    for line in self.quarantine_path.read_text(
-                        encoding="utf-8"
-                    ).splitlines()
-                    if line.strip()
-                )
+            lines_quarantined = _count_lines(self.quarantine_path)
+            errors_before = _count_lines(self.errors_path)
             if self.path.exists():
-                tmp = self.path.with_name(self.path.name + ".tmp")
-                with tmp.open("w", encoding="utf-8", newline="") as fh:
-                    for record in records:
-                        fh.write(record_to_json(record))
-                        fh.write("\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.path)
-            errors_before = 0
+                _rewrite_jsonl(self.path, map(record_to_json, self.records()))
             if self.errors_path.exists():
-                errors_before = sum(
-                    1
-                    for line in self.errors_path.read_text(
-                        encoding="utf-8"
-                    ).splitlines()
-                    if line.strip()
+                _rewrite_jsonl(
+                    self.errors_path,
+                    (
+                        json.dumps({"fingerprint": fp, "error": error}, sort_keys=True)
+                        for fp, error in self._errors.items()
+                    ),
                 )
-                tmp = self.errors_path.with_name(self.errors_path.name + ".tmp")
-                with tmp.open("w", encoding="utf-8", newline="") as fh:
-                    for fp, error in self._errors.items():
-                        fh.write(
-                            json.dumps(
-                                {"fingerprint": fp, "error": error}, sort_keys=True
-                            )
-                        )
-                        fh.write("\n")
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.errors_path)
             # The rewrite kept only parsed records, so quarantined lines
             # are gone from the archive; retire their sidecar entries.
             if self.quarantine_path.exists():
                 self.quarantine_path.unlink()
             self._quarantine_offsets = None
-            self._quarantined_lines = 0
             # Re-index the rewritten archive from scratch: offsets moved.
             self._fingerprints.clear()
             self._offsets.clear()
             self._schemas.clear()
-            self._tags.clear()
             self._tag_counts.clear()
             self._order.clear()
             self._loaded.clear()
@@ -895,9 +596,6 @@ class ResultStore:
             self._size = 0
             if self.path.exists():
                 self._full_scan()
-                self.write_index()
-            elif self.index_path.exists():
-                self.index_path.unlink()
             return {
                 "records_kept": len(self._order),
                 "lines_dropped": lines_dropped,
@@ -922,8 +620,6 @@ class ResultStore:
     # ------------------------------------------------------------------
     def close(self) -> None:
         with self._lock:
-            if self._index_dirty:
-                self.write_index()
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
@@ -936,3 +632,32 @@ class ResultStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _error_map(entries: list[dict]) -> dict[str, str]:
+    """Error-sidecar entries as ``{fingerprint: error}``, first entry winning."""
+    errors: dict[str, str] = {}
+    for entry in entries:
+        if entry.get("fingerprint"):
+            errors.setdefault(str(entry["fingerprint"]), str(entry.get("error", "")))
+    return errors
+
+
+def _count_lines(path: Path) -> int:
+    """Non-blank lines in ``path`` (0 when it does not exist)."""
+    if not path.exists():
+        return 0
+    with path.open("rb") as fh:
+        return sum(1 for line in fh if line.strip())
+
+
+def _rewrite_jsonl(path: Path, lines) -> None:
+    """Atomically replace ``path`` with ``lines``, one per line, fsynced."""
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8", newline="") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)

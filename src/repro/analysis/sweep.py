@@ -157,7 +157,7 @@ def sweep_num_pes(
                 (
                     PAPER_CONFIGS[name].dataflow(),
                     PAPER_CONFIGS[name].hint,
-                    {"config": name, "num_pes": num_pes},
+                    {"config": name},
                 )
                 for name in names
             ]

@@ -200,24 +200,25 @@ class CampaignCheckpoint:
     def _read(path: Path, *, heal: bool = False) -> tuple[dict, dict[str, dict]]:
         """Parse a checkpoint file, tolerating a torn final line.
 
-        The torn line (a campaign killed mid-append) is always *ignored*;
-        it is physically truncated away only with ``heal=True`` — the
-        resume path, which owns the file.  Read-only callers must not
-        rewrite it: a concurrently running campaign may still be
-        appending the very bytes that look torn.
+        A torn final line (a campaign killed mid-append) is always
+        *ignored*; it is physically truncated away only with
+        ``heal=True`` — the resume path, which owns the file.  Read-only
+        callers must not rewrite it, and leave out any final line not
+        yet newline-terminated: a concurrently running campaign may still
+        be appending those very bytes.
 
         Returns ``({}, {})`` when nothing valid is on disk (an empty
         file, or only a torn header): the resume path then starts the
         checkpoint over, and status reports "no checkpoint yet".
         """
-        records = read_jsonl_healing(
-            path,
-            heal=heal,
-            corrupt=lambda n: CampaignResumeError(
-                f"{path}: corrupt checkpoint line {n} "
+
+        def corrupt(offset: int, raw: bytes, line_no: int) -> None:
+            raise CampaignResumeError(
+                f"{path}: corrupt checkpoint line {line_no} "
                 "(not a torn final append); pass --no-resume to restart"
-            ),
-        )
+            )
+
+        records = read_jsonl_healing(path, heal=heal, on_corrupt=corrupt)
         if not records:
             return {}, {}
         if "campaign_schema" not in records[0]:

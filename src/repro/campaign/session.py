@@ -83,10 +83,9 @@ class ExplorationSession:
         rows; the model re-runs those candidates instead (the store's
         dedup index still absorbs the duplicate append).
 
-        The store's fingerprint->schema map comes straight from its
-        offset index, so this preload parses **no** record contents at
-        all — each warm *hit* later seeks to its one line via
-        ``record_for``.
+        The store's fingerprint->schema map was built by the scan that
+        opened it, so this preload parses **no** record contents at all
+        — each warm *hit* later seeks to its one line via ``record_for``.
         """
         # Imported here: analysis sits above core/campaign plumbing.
         from ..analysis.export import SCHEMA_VERSION

@@ -7,7 +7,7 @@ Subcommands
 ``search``     mapping optimizer (paper §VI)
 ``campaign``   spec-driven multi-dataset / multi-hardware exploration
 ``serve``      dataflow selection service over campaign stores (JSON/HTTP)
-``store``      maintain result stores (compaction, offset-index rebuild)
+``store``      maintain result stores (compaction, merge)
 ``faults``     deterministic fault plans + crash-consistency harness
 ``golden``     regenerate or drift-check the golden regression records
 ``enumerate``  design-space counts (Table II's 6,656)
@@ -390,27 +390,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_store = sub.add_parser(
-        "store", help="maintain result stores (compaction, offset index)"
+        "store", help="maintain result stores (compaction, merge)"
     )
     stsub = p_store.add_subparsers(dest="store_command", required=True)
     p_compact = stsub.add_parser(
         "compact",
-        help="rewrite a store dropping duplicate-fingerprint lines; "
-        "dedup the error sidecar; refresh the offset index",
+        help="rewrite a store dropping duplicate-fingerprint lines and "
+        "quarantined corrupt lines; dedup the error sidecar",
     )
     p_compact.add_argument("path", metavar="JSONL", help="store to compact")
     p_compact.add_argument("--json", action="store_true")
-    p_index = stsub.add_parser(
-        "index",
-        help="(re)build the <store>.index.json offset sidecar so the next "
-        "open and warm-cache preload skip the full JSONL parse",
-    )
-    p_index.add_argument("path", metavar="JSONL", help="store to index")
-    p_index.add_argument("--json", action="store_true")
     p_merge = stsub.add_parser(
         "merge",
         help="merge K stores (+ error sidecars) into one deduplicated "
-        "store with a fresh offset index (idempotent)",
+        "store (idempotent)",
     )
     p_merge.add_argument("dest", metavar="DEST_JSONL", help="merged store")
     p_merge.add_argument(
@@ -936,9 +929,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     matches = header.get("spec_fingerprint") == spec.fingerprint()
 
     if args.campaign_command == "status":
-        # Read-only: counts come from the checkpoint plus the store's
-        # offset-index sidecar (falling back to one streaming parse when
-        # no index exists) — never from opening/healing the store, which
+        # Read-only: counts come from the checkpoint plus one read-only
+        # scan of the store — never from opening/healing the store, which
         # a concurrently running campaign may own.  Cache-efficacy
         # entries come from the checkpoint's stats sidecar (written at
         # each unit mark; per-unit deltas, execution accounting).
@@ -1018,7 +1010,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             "checkpoint_matches_spec": matches if header else None,
             "store": store_path,
             "store_records": peek["records"],
-            "store_indexed": peek["indexed"],
             "coordinator": coord or None,
         }
         if args.json:
@@ -1050,8 +1041,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     ],
                 )
             )
-            indexed = " (indexed)" if peek["indexed"] else ""
-            print(f"  store: {peek['records']} records in {store_path}{indexed}")
+            print(f"  store: {peek['records']} records in {store_path}")
             print(f"  checkpoint: {ckpt_path}")
             if coord:
                 by_shard = coord.get("retries_by_shard") or {}
@@ -1183,42 +1173,20 @@ def _cmd_store(args: argparse.Namespace) -> int:
     if not path.exists():
         print(f"store not found: {path}", file=sys.stderr)
         return 1
-    try:
-        store = ResultStore(path)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-
-    if args.store_command == "compact":
-        stats = store.compact()
-        store.close()
-        if args.json:
-            print(json.dumps({"store": str(path), **stats}, indent=2))
-        else:
-            print(
-                f"{path}: {stats['records_kept']} records kept, "
-                f"{stats['lines_dropped']} duplicate line(s) dropped, "
-                f"{stats['lines_quarantined']} quarantined line(s) dropped "
-                f"({stats['bytes_before']} -> {stats['bytes_after']} bytes); "
-                f"{stats['errors_kept']} error(s) kept, "
-                f"{stats['errors_dropped']} dropped"
-            )
-        return 0
-
-    # index: opening the store already healed + scanned; persist the sidecar.
-    index_path = store.write_index()
-    records = len(store)
+    store = ResultStore(path)
+    stats = store.compact()
     store.close()
     if args.json:
-        print(
-            json.dumps(
-                {"store": str(path), "index": str(index_path),
-                 "records": records},
-                indent=2,
-            )
-        )
+        print(json.dumps({"store": str(path), **stats}, indent=2))
     else:
-        print(f"{path}: indexed {records} records into {index_path}")
+        print(
+            f"{path}: {stats['records_kept']} records kept, "
+            f"{stats['lines_dropped']} duplicate line(s) dropped, "
+            f"{stats['lines_quarantined']} quarantined line(s) dropped "
+            f"({stats['bytes_before']} -> {stats['bytes_after']} bytes); "
+            f"{stats['errors_kept']} error(s) kept, "
+            f"{stats['errors_dropped']} dropped"
+        )
     return 0
 
 

@@ -9,8 +9,8 @@ The merge is where the distributed guarantees cash out:
   :meth:`~repro.analysis.store.ResultStore.snapshot`, the lock-free
   consistent-prefix reader, so a torn final line in a killed shard's
   store is simply left out instead of poisoning the merge.  Error
-  sidecars merge the same way.  The destination finishes with a fresh
-  offset-index sidecar, ready for ``repro serve``.
+  sidecars merge the same way.  The destination is a plain store, ready
+  for ``repro serve``.
 - **checkpoints** merge by re-journaling every unit in parent grid
   order.  Shard journal lines were produced by the exact same
   ``json.dumps(..., sort_keys=True)`` path a sequential run uses, so the
@@ -83,7 +83,6 @@ def merge_stores(
                     acct["errors_added"] += 1
                 else:
                     acct["errors_skipped"] += 1
-        store.write_index()
         acct["dest_path"] = str(store.path)
         acct["dest_records"] = len(store)
     finally:

@@ -56,7 +56,6 @@ FAULT_PLAN_SCHEMA = 1
 SITES: dict[str, tuple[str, ...]] = {
     # analysis/store.py -- the JSONL result archive and its sidecars
     "store.append": ("torn_write", "short_write", "enospc", "io_error"),
-    "store.index_write": ("drop", "io_error"),
     "store.error_append": ("torn_write", "io_error"),
     # campaign/runner.py -- the checkpoint journal + stats sidecar
     "checkpoint.mark": ("torn_write", "io_error"),
@@ -272,7 +271,7 @@ class FaultPlan:
 
 # -- canned plans -------------------------------------------------------
 
-FAULT_SCENARIOS = ("worker-kill", "torn-index", "serving-timeout")
+FAULT_SCENARIOS = ("worker-kill", "torn-append", "serving-timeout")
 
 
 def scenario_plan(name: str, *, seed: int = 0) -> FaultPlan:
@@ -281,8 +280,8 @@ def scenario_plan(name: str, *, seed: int = 0) -> FaultPlan:
     - ``worker-kill`` — hard-kill a shard worker at its Nth heartbeat
       (N = 1 + seed % 3); the coordinator must relaunch and the merge
       must still be byte-identical with zero duplicate evaluations.
-    - ``torn-index`` — tear a store append mid-line *and* drop one
-      offset-index sidecar write; resume must heal both.
+    - ``torn-append`` — tear a store append mid-line (the Nth append,
+      N = 1 + seed % 2); resume must heal it.
     - ``serving-timeout`` — stall the live search past the watchdog
       deadline and force one queue shed; every answer must still be a
       well-formed degraded response, never a 500 or a hang.
@@ -292,13 +291,10 @@ def scenario_plan(name: str, *, seed: int = 0) -> FaultPlan:
             seed,
             {"worker.heartbeat": {"kind": "kill", "after": 1 + seed % 3}},
         )
-    if name == "torn-index":
+    if name == "torn-append":
         return FaultPlan.build(
             seed,
-            {
-                "store.append": {"kind": "torn_write", "after": 1 + seed % 2},
-                "store.index_write": {"kind": "drop", "after": 1},
-            },
+            {"store.append": {"kind": "torn_write", "after": 1 + seed % 2}},
         )
     if name == "serving-timeout":
         return FaultPlan.build(
@@ -317,7 +313,6 @@ def scenario_plan(name: str, *, seed: int = 0) -> FaultPlan:
 # recover from — the pool the randomized harness plans draw on.
 _RANDOM_POOL: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("store.append", ("torn_write", "short_write", "enospc")),
-    ("store.index_write", ("drop",)),
     ("checkpoint.mark", ("torn_write",)),
     ("worker.start", ("delay",)),
     ("worker.heartbeat", ("kill",)),

@@ -3,8 +3,8 @@
 Two failure families kept hitting the campaign/distributed/serving
 layers through different code paths:
 
-- **torn sidecars** — a JSON sidecar (offset index, checkpoint stats,
-  progress file, shard plan) replaced via ``tmp.write_text`` +
+- **torn sidecars** — a JSON sidecar (checkpoint stats, progress file,
+  shard plan) replaced via ``tmp.write_text`` +
   ``os.replace`` is atomic against *readers*, but a power cut between
   the rename and the data reaching the platter can still surface the
   old bytes, an empty file, or the new name with torn contents.

@@ -484,6 +484,30 @@ class TestRunCampaign:
         with pytest.raises(CampaignSpecError, match="leave 'hardware' unset"):
             spec.validate()
 
+    def test_num_pes_source_persists_and_resumes(self, tmp_path):
+        """A ``num_pes`` campaign with a store runs, its resume evaluates
+        nothing, and the store never changes the report."""
+        spec = CampaignSpec(
+            name="pes",
+            datasets=["mutag"],
+            source=CandidateSource(
+                "num_pes", {"pe_counts": [64, 128], "config_names": ["Seq1", "SP1"]}
+            ),
+        )
+        bare = run_campaign(spec)
+        store = ResultStore(tmp_path / "pes.jsonl")
+        fresh = run_campaign(spec, store=store)
+        store.close()
+        assert fresh.stats["evaluated"] == 4
+        assert fresh.store_records == 4
+        store = ResultStore(tmp_path / "pes.jsonl")
+        resumed = run_campaign(spec, store=store)
+        store.close()
+        assert resumed.stats["evaluated"] == 0
+        assert fresh.digest() == resumed.digest() == bare.digest()
+        records = ResultStore.snapshot(tmp_path / "pes.jsonl").records
+        assert sorted(r["num_pes"] for r in records) == [64, 64, 128, 128]
+
     def test_bandwidth_source_takes_pe_count_from_hardware_point(self):
         spec = CampaignSpec(
             name="bw",
@@ -659,7 +683,7 @@ class TestCampaignCLI:
         assert "2 units (2 from checkpoint)" in out
 
     def test_status_reports_per_unit_states(self, capsys, tmp_path):
-        """Per-unit queued / in-flight / done from checkpoint + index."""
+        """Per-unit queued / in-flight / done from checkpoint + store."""
         # Run a one-dataset campaign into the store...
         done_spec = tiny_spec(name="half", datasets=["mutag"])
         done_path = done_spec.save(tmp_path / "half.json")
@@ -681,7 +705,7 @@ class TestCampaignCLI:
         assert status["units_done"] == 0
         assert status["units_in_flight"] == 1
         assert status["units_queued"] == 1
-        assert status["store_indexed"] is True
+        assert status["store_records"] == len(PAPER_CONFIGS)
         by_unit = {u["unit"]: u for u in status["units"]}
         assert by_unit["mutag@pes512"]["state"] == "in-flight"
         assert by_unit["mutag@pes512"]["records"] == len(PAPER_CONFIGS)

@@ -3,7 +3,7 @@
 The contract under test: a :class:`FaultPlan` is a fingerprinted value
 whose triggers fire deterministically; every instrumented seam actually
 enacts its kinds; the hardening the faults exercise (mid-file
-quarantine, index-drop tail scan, checkpoint heal, fleet retry budget,
+quarantine, torn-append heal, checkpoint heal, fleet retry budget,
 queue shed with Retry-After) behaves; and the chaos harness's
 kill-at-every-heartbeat sweep holds all three invariants on the 4-unit
 example spec.
@@ -80,7 +80,7 @@ def one_site_plan(site: str, kind: str, *, seed: int = 0, **fields) -> FaultPlan
 
 class TestFaultPlan:
     def test_round_trip_through_file(self, tmp_path):
-        plan = scenario_plan("torn-index", seed=7)
+        plan = scenario_plan("torn-append", seed=7)
         path = tmp_path / "plan.json"
         plan.save(path)
         loaded = FaultPlan.load(path)
@@ -137,11 +137,11 @@ class TestFaultPlan:
         assert trig.times is None
 
     def test_site_seed_deterministic_and_site_dependent(self):
-        plan = scenario_plan("torn-index", seed=5)
-        twin = scenario_plan("torn-index", seed=5)
+        plan = scenario_plan("torn-append", seed=5)
+        twin = scenario_plan("torn-append", seed=5)
         assert plan.site_seed("store.append") == twin.site_seed("store.append")
         assert plan.site_seed("store.append") != plan.site_seed(
-            "store.index_write"
+            "checkpoint.mark"
         )
         draws = [plan.site_rng("store.append").random() for _ in range(3)]
         assert draws[0] == draws[1] == draws[2]
@@ -222,11 +222,11 @@ class TestInjector:
 
     def test_io_error_and_enospc_errnos(self, tmp_path):
         inj = FaultInjector(
-            one_site_plan("store.index_write", "io_error", errno=errno.EROFS),
+            one_site_plan("store.error_append", "io_error", errno=errno.EROFS),
             tmp_path / "a.jsonl",
         )
         with pytest.raises(OSError) as exc:
-            inj.check("store.index_write")
+            inj.check("store.error_append")
         assert exc.value.errno == errno.EROFS
         inj = FaultInjector(
             one_site_plan("store.append", "enospc"), tmp_path / "b.jsonl"
@@ -310,9 +310,6 @@ class TestStoreSeams:
         store.append(rec(1))  # merges with the fragment: one malformed line
         store.append(rec(2))
         store.close()
-        # A real crash loses the index flush too; without it the reopen
-        # must full-scan and meet the merged malformed line mid-file.
-        store.index_path.unlink()
         healed = ResultStore(path)
         assert [r["fingerprint"] for r in healed.records()] == ["fp2"]
         assert healed.io_stats["quarantined_lines"] == 1
@@ -330,25 +327,6 @@ class TestStoreSeams:
         assert exc.value.errno == errno.ENOSPC
         deactivate()
         store.close()
-
-    def test_index_drop_forces_tail_scan(self, tmp_path):
-        """A dropped sidecar write (simulated fsync loss) must leave the
-        next open rebuilding from the archive, with nothing lost."""
-        path = tmp_path / "s.jsonl"
-        store = ResultStore(path)
-        for i in range(4):
-            store.append(rec(i))
-        activate(
-            one_site_plan("store.index_write", "drop", times=None),
-            log_path=tmp_path / "log.jsonl",
-        )
-        store.write_index()
-        deactivate()
-        assert not store.index_path.exists()  # believed written, never landed
-        store.close()  # close's index flush is past the activation: real
-        reopened = ResultStore(path)
-        assert len(reopened) == 4
-        reopened.close()
 
     def test_error_append_seam_fires(self, tmp_path):
         store = ResultStore(tmp_path / "s.jsonl")
@@ -441,7 +419,6 @@ class TestServingSeams:
     def test_refresh_drop_skips_one_sync_round(self, tmp_path):
         path = tmp_path / "s.jsonl"
         feeder = ResultStore(path)
-        feeder.write_index()
         service = DataflowService(attach=[path], live_budget=4)
         feeder.append(
             {
@@ -621,11 +598,11 @@ class TestFaultsCli:
     def test_faults_plan_scenario_round_trips(self, tmp_path):
         out = tmp_path / "plan.json"
         assert main(
-            ["faults", "plan", "--scenario", "torn-index", "--seed", "3",
+            ["faults", "plan", "--scenario", "torn-append", "--seed", "3",
              "--out", str(out)]
         ) == 0
         plan = FaultPlan.load(out)
-        assert plan == scenario_plan("torn-index", seed=3)
+        assert plan == scenario_plan("torn-append", seed=3)
 
     def test_faults_plan_random_round_trips(self, tmp_path):
         out = tmp_path / "plan.json"

@@ -102,6 +102,18 @@ class TestResume:
         assert store.quarantine_path.exists()
         store.close()
 
+    def test_non_object_line_is_quarantined(self, tmp_path):
+        """Valid JSON that is not an object is no record: the owner
+        quarantines it and the read-only views skip it."""
+        path = tmp_path / "r.jsonl"
+        path.write_text('[1, 2]\n{"fingerprint": "fp1"}\n')
+        assert len(ResultStore.snapshot(path)) == 1
+        assert ResultStore.peek(path)["records"] == 1
+        store = ResultStore(path)
+        assert list(store.fingerprints) == ["fp1"]
+        assert store.io_stats["quarantined_lines"] == 1
+        store.close()
+
     def test_valid_final_line_missing_newline_is_kept_and_healed(self, tmp_path):
         """A kill between the record write and the newline write leaves a
         *valid* last line with no terminator; it must be kept — and the
@@ -178,58 +190,32 @@ class TestErrorSidecar:
         assert len((tmp_path / "r.jsonl").read_text().splitlines()) == 1
 
 class TestIndexSidecar:
-    """The ``<store>.index.json`` offset index: O(changed-records) resume."""
+    """Reopen without an index sidecar: one full scan rebuilds the
+    in-memory offset index; ``.index.json`` files left by older runs are
+    ignored."""
 
-    def test_close_writes_index_and_reopen_skips_full_scan(
-        self, tmp_path, monkeypatch
-    ):
+    def test_reopen_is_one_full_scan_and_loads_lazily(self, tmp_path):
         path = tmp_path / "r.jsonl"
         with ResultStore(path) as store:
             for i in range(5):
                 store.append(rec(i, schema=2))
-        assert store.index_path.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl"]
 
-        # Belt and braces: the io counter AND a spy on the scan itself.
-        monkeypatch.setattr(
-            ResultStore,
-            "_full_scan",
-            lambda self: pytest.fail("index-backed open must not full-scan"),
-        )
         again = ResultStore(path)
-        assert again.io_stats["full_scans"] == 0
-        assert again.io_stats["tail_scans"] == 0
-        assert again.io_stats["index_used"] == 1
+        assert again.io_stats["full_scans"] == 1
         assert len(again) == 5
         assert "fp3" in again
-        # record *contents* were not parsed at open...
+        assert again.fingerprint_schemas()["fp3"] == 2
+        # the scan kept offsets, not record contents...
         assert again.io_stats["record_loads"] == 0
-        # ...but load lazily, one line per request
+        # ...which load lazily, one line per request
         assert again.record_for("fp3")["cycles"] == 103
         assert again.io_stats["record_loads"] == 1
         again.close()
 
-    def test_stale_index_scans_only_the_tail(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        with ResultStore(path) as store:
-            store.append(rec(1))
-            store.append(rec(2))
-        # A later writer appended and was killed before flushing the index.
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(rec(3), sort_keys=True) + "\n")
-
-        resumed = ResultStore(path)
-        assert resumed.io_stats["full_scans"] == 0
-        assert resumed.io_stats["tail_scans"] == 1
-        assert resumed.io_stats["tail_records"] == 1
-        assert len(resumed) == 3 and "fp3" in resumed
-        # the refreshed index covers the tail: a third open is O(1)
-        third = ResultStore(path)
-        assert third.io_stats["tail_scans"] == 0
-        assert len(third) == 3
-        third.close()
-        resumed.close()
-
     def test_stale_index_with_torn_tail_heals(self, tmp_path):
+        """Another writer appended past the last close, then was killed
+        mid-append: the reopen keeps its whole record and heals the tear."""
         path = tmp_path / "r.jsonl"
         with ResultStore(path) as store:
             store.append(rec(1))
@@ -240,32 +226,31 @@ class TestIndexSidecar:
         healed = ResultStore(path)
         assert len(healed) == 2
         assert "fp3" not in healed
-        assert healed.io_stats["full_scans"] == 0
         assert healed.append(rec(3))
         healed.close()
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         assert [r["fingerprint"] for r in lines] == ["fp1", "fp2", "fp3"]
 
     def test_torn_index_json_rebuilds_from_archive(self, tmp_path):
+        """A sidecar left by an older run is ignored and left untouched:
+        the open reads the archive alone."""
         path = tmp_path / "r.jsonl"
         with ResultStore(path) as store:
             store.append(rec(1))
             store.append(rec(2))
-        store.index_path.write_text('{"index_schema": 1, "store_byt')  # torn
+        leftover = tmp_path / "r.index.json"
+        leftover.write_text('{"index_schema": 1, "store_byt')  # torn
 
         rebuilt = ResultStore(path)
-        assert rebuilt.io_stats["index_rebuilt"] == 1
         assert rebuilt.io_stats["full_scans"] == 1
         assert len(rebuilt) == 2
+        assert rebuilt.append(rec(3))
         rebuilt.close()
-        # the rebuild rewrote a valid sidecar
-        clean = ResultStore(path)
-        assert clean.io_stats["index_used"] == 1
-        clean.close()
+        assert leftover.read_text() == '{"index_schema": 1, "store_byt'
 
     def test_replaced_archive_defeats_stale_offsets(self, tmp_path):
-        """If the JSONL is swapped wholesale behind the sidecar, the head
-        digest must reject the index instead of serving garbage offsets."""
+        """A JSONL swapped wholesale between opens is read afresh: the
+        offsets come from this open's scan, never from an earlier one."""
         path = tmp_path / "r.jsonl"
         with ResultStore(path) as store:
             store.append(rec(1))
@@ -276,35 +261,25 @@ class TestIndexSidecar:
         path.write_text(replacement)
 
         reopened = ResultStore(path)
-        assert reopened.io_stats["full_scans"] == 1
         assert set(reopened.fingerprints) == {"fp7", "fp8", "fp9"}
+        assert reopened.record_for("fp8")["cycles"] == 108
         reopened.close()
-
-    def test_no_resume_removes_index(self, tmp_path):
-        path = tmp_path / "r.jsonl"
-        with ResultStore(path) as store:
-            store.append(rec(1))
-        fresh = ResultStore(path, resume=False)
-        assert not fresh.index_path.exists()
-        assert len(fresh) == 0
-        fresh.close()
 
     def test_trailing_blank_lines_do_not_skew_offsets(self, tmp_path):
         """Blank lines at EOF carry no record but occupy bytes; the size
         accounting must cover them or every offset appended afterwards
-        (and the index built from them) lands short, condemning each
-        later open to a full rescan."""
+        lands short and ``record_for`` reads the wrong line."""
         path = tmp_path / "r.jsonl"
         path.write_text(
             json.dumps(rec(1), sort_keys=True) + "\n\n\n"  # hand-edited file
         )
         store = ResultStore(path)
         assert store.append(rec(2))
+        store._loaded.clear()  # force the append's offset to be used
+        assert store.record_for("fp2")["cycles"] == 102
         store.close()
 
         again = ResultStore(path)
-        assert again.io_stats["full_scans"] == 0  # the index was trusted
-        assert again.io_stats["index_used"] == 1
         assert again.record_for("fp2")["cycles"] == 102  # offsets correct
         assert again.record_for("fp1")["cycles"] == 101
         again.close()
@@ -331,7 +306,6 @@ class TestIndexSidecar:
 
         peek = ResultStore.peek(path)
         assert peek["records"] == 3
-        assert peek["indexed"] is True
         assert peek["unit_counts"] == {"mutag": 2, "cora@big": 1}
         assert path.read_bytes() == before  # never healed, never rewritten
 
@@ -341,21 +315,46 @@ class TestIndexSidecar:
             json.dumps(rec(1, dataset="mutag"), sort_keys=True) + "\n"
         )
         peek = ResultStore.peek(path)
-        assert peek == {
-            "records": 1,
-            "unit_counts": {"mutag": 1},
-            "indexed": False,
-        }
+        assert peek == {"records": 1, "unit_counts": {"mutag": 1}}
         assert ResultStore.peek(tmp_path / "missing.jsonl")["records"] == 0
+
+
+class TestReadOnlyContract:
+    def test_peek_and_snapshot_agree_and_write_nothing(self, tmp_path):
+        """``peek`` and ``snapshot`` read through the same read-only scan:
+        both leave out a corrupt mid-file line and a complete final record
+        still missing its newline (a writer mid-append), and neither
+        touches a byte on disk."""
+        path = tmp_path / "r.jsonl"
+        with ResultStore(path) as store:
+            store.append(rec(1, dataset="mutag"))
+            store.record_error("fpX", "boom")
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"fingerprint": "fp-torn", "cyc\n')  # corrupt mid-file
+            fh.write(json.dumps(rec(2, dataset="mutag")) + "\n")
+            fh.write(json.dumps(rec(3, dataset="mutag")) + "\n")
+            fh.write(json.dumps(rec(4, dataset="mutag")))  # not yet terminated
+        with store.errors_path.open("a", encoding="utf-8") as fh:
+            fh.write('{"fingerprint": "fpY", "error": "bang"}')  # in flight
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        peek = ResultStore.peek(path)
+        snap = ResultStore.snapshot(path)
+        assert peek["records"] == len(snap) == 3
+        assert peek["unit_counts"] == {"mutag": 3}
+        assert [r["fingerprint"] for r in snap.records] == ["fp1", "fp2", "fp3"]
+        assert snap.errors == {"fpX": "boom"}
+        assert snap.covered_bytes == len(before["r.jsonl"].rsplit(b"\n", 1)[0]) + 1
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestWarmStartViaIndex:
     def test_session_warm_start_does_not_scan_the_jsonl(
         self, tmp_path, monkeypatch
     ):
-        """The acceptance check: a session warm-starting against a store
-        with a valid index sidecar parses no record content at all — warm
-        hits later seek to single lines on demand."""
+        """A session warm-starting against an opened store parses no
+        record content beyond the open's one scan — warm hits later seek
+        to single lines on demand."""
         from repro.arch.config import AcceleratorConfig
         from repro.campaign.session import ExplorationSession
         from repro.core.configs import PAPER_CONFIGS
@@ -373,14 +372,13 @@ class TestWarmStartViaIndex:
             first.evaluator(wl, hw).evaluate(candidates)
 
         store = ResultStore(tmp_path / "r.jsonl")
+        assert store.io_stats["full_scans"] == 1
         monkeypatch.setattr(
             ResultStore,
             "_full_scan",
-            lambda self: pytest.fail("warm start must not scan the JSONL"),
+            lambda self: pytest.fail("warm start must not rescan the JSONL"),
         )
         warm = ExplorationSession(store=store)
-        assert store.io_stats["full_scans"] == 0
-        assert store.io_stats["tail_scans"] == 0
         assert warm.warm_size == len(candidates)
         # preload itself parsed nothing
         assert store.io_stats["record_loads"] == 0
@@ -419,12 +417,12 @@ class TestCompaction:
         assert [r["fingerprint"] for r in lines] == ["fp1", "fp2"]
 
     def test_compacted_store_reopens_via_fresh_index(self, tmp_path):
+        """The reopen's scan of a compacted archive finds no duplicates."""
         path = self._duplicate_archive(tmp_path)
         with ResultStore(path) as store:
             store.compact()
         again = ResultStore(path)
-        assert again.io_stats["full_scans"] == 0
-        assert again.io_stats["index_used"] == 1
+        assert again.compact()["lines_dropped"] == 0
         assert [r["fingerprint"] for r in again.records()] == ["fp1", "fp2"]
         again.close()
 

@@ -139,13 +139,6 @@ class TestMergeStores:
             assert dest.append(rec(2))  # caller still owns the handle
         assert read_fps(dest.path) == ["fp1", "fp2"]
 
-    def test_merged_store_gets_a_fresh_index(self, tmp_path):
-        a = make_store(tmp_path / "a.jsonl", [rec(1), rec(2)])
-        dest = tmp_path / "m.jsonl"
-        merge_stores(dest, [a])
-        index = json.loads(dest.with_name("m.index.json").read_text())
-        assert sorted(index["records"]) == ["fp1", "fp2"]
-
 
 class TestMergeCLI:
     def run_cli(self, capsys, *argv):
@@ -180,3 +173,40 @@ class TestMergeCLI:
         )
         assert "+1 records" in out
         assert "1 missing source(s)" in out
+
+    def test_run_merge_compact_leave_only_archives_and_journals(
+        self, capsys, tmp_path
+    ):
+        """A store is its JSONL file: ``campaign run``, ``store merge`` and
+        ``store compact`` leave archives, error sidecars and the checkpoint
+        files behind, and nothing else."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "out",
+                    "datasets": ["mutag"],
+                    "source": {"kind": "random", "n": 60},
+                    "hardware": [{"num_pes": 64}],
+                }
+            )
+        )
+        out = tmp_path / "out"
+        self.run_cli(
+            capsys, "campaign", "run", "--spec", str(spec),
+            "--out", str(out / "run.jsonl"),
+            "--checkpoint", str(out / "run.ckpt.jsonl"),
+        )
+        self.run_cli(
+            capsys, "store", "merge", str(out / "m.jsonl"), str(out / "run.jsonl")
+        )
+        self.run_cli(capsys, "store", "compact", str(out / "m.jsonl"))
+        assert sorted(p.name for p in out.iterdir()) == [
+            "m.errors.jsonl",
+            "m.jsonl",
+            "run.ckpt.jsonl",
+            "run.ckpt.jsonl.stats.json",
+            "run.errors.jsonl",
+            "run.jsonl",
+        ]
+        assert (out / "m.jsonl").read_bytes() == (out / "run.jsonl").read_bytes()
