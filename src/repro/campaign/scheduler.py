@@ -6,6 +6,11 @@ order through one shared session.  Parallelism lives above this layer:
 ``repro.distributed`` shards the unit grid over worker processes.
 Within one process, units run one at a time:
 
+- **each dataset is synthesised once per run**: the grid walks datasets
+  outer, so a dataset is synthesised the first time one of its units
+  actually runs and dropped when the walk moves on.  One dataset is alive
+  at a time, a fully checkpointed dataset is never synthesised, and
+  nothing is kept between runs;
 - **checkpoint lines are journaled in grid order**, each as soon as its
   unit completes, so the checkpoint file is the same bytes on every run;
 - **report rows are deterministic** because each unit's rows are a pure
@@ -24,7 +29,7 @@ from ..analysis.sweep import sweep_bandwidth, sweep_num_pes, sweep_pe_allocation
 from ..core.configs import paper_config_names, paper_dataflow
 from ..core.legality import LegalityError
 from ..core.optimizer import MappingOptimizer, search_paper_configs
-from ..core.workload import workload_from_dataset
+from ..core.workload import GNNWorkload, workload_from_dataset
 from ..graphs.datasets import load_dataset
 from .report import UnitResult
 from .session import ExplorationSession
@@ -60,6 +65,7 @@ def run_units_sequential(
     from .runner import campaign_units  # runner imports us; lazy back-ref
 
     units: list[UnitResult] = []
+    wl_name, wl = None, None  # the one dataset alive, synthesised on demand
     for ds_name, pt in campaign_units(spec):
         key = unit_key(ds_name, pt)
         if only_units is not None and key not in only_units:
@@ -72,7 +78,11 @@ def run_units_sequential(
                 )
             )
             continue
-        rows = run_unit(session, spec, ds_name, pt)
+        if wl_name != ds_name:
+            wl = None  # drop the previous dataset before the next one exists
+            wl = workload_from_dataset(load_dataset(ds_name, seed=spec.seed))
+            wl_name = ds_name
+        rows = run_unit(session, spec, ds_name, pt, wl)
         if checkpoint is not None:
             checkpoint.mark(
                 key,
@@ -88,13 +98,16 @@ def run_unit(
     spec: CampaignSpec,
     ds_name: str,
     pt: HardwarePoint,
+    wl: GNNWorkload,
 ) -> list[dict]:
-    """Run one unit's candidate source; returns JSON-safe row dicts.
+    """Run one unit's candidate source on ``wl``, the workload of dataset
+    ``ds_name`` at ``spec.seed``; returns JSON-safe row dicts.
 
-    Rows depend only on ``(spec, unit)`` and the cost model, never on
-    the shard count or what ran before.
+    The caller synthesises ``wl``: :func:`run_units_sequential` builds
+    each dataset once per run and shares it across that dataset's
+    hardware points.  Rows depend only on ``(spec, unit)`` and the cost
+    model, never on the shard count or what ran before.
     """
-    wl = workload_from_dataset(load_dataset(ds_name, seed=spec.seed))
     hw = pt.config()
     extra: dict[str, Any] = {"dataset": ds_name, "seed": spec.seed}
     if pt.label:

@@ -23,6 +23,15 @@ import numpy as np
 __all__ = ["CSRGraph", "batch_graphs"]
 
 
+def _frozen(array, dtype) -> np.ndarray:
+    """A read-only contiguous view of ``array``: one graph is shared by
+    every consumer of a dataset, so none may write into it in place.  The
+    caller's own array object keeps its flags."""
+    view = np.ascontiguousarray(array, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class CSRGraph:
     """An adjacency matrix in CSR form.
@@ -53,8 +62,8 @@ class CSRGraph:
     name: str = ""
 
     def __post_init__(self) -> None:
-        vp = np.ascontiguousarray(self.vertex_ptr, dtype=np.int64)
-        ed = np.ascontiguousarray(self.edge_dst, dtype=np.int64)
+        vp = _frozen(self.vertex_ptr, np.int64)
+        ed = _frozen(self.edge_dst, np.int64)
         object.__setattr__(self, "vertex_ptr", vp)
         object.__setattr__(self, "edge_dst", ed)
         if vp.ndim != 1 or vp.size < 1:
@@ -74,7 +83,7 @@ class CSRGraph:
         if ed.size and (ed.min() < 0 or ed.max() >= self.num_cols):
             raise ValueError("edge_dst entries must lie in [0, num_cols)")
         if self.edge_val is not None:
-            ev = np.ascontiguousarray(self.edge_val, dtype=np.float64)
+            ev = _frozen(self.edge_val, np.float64)
             if ev.shape != ed.shape:
                 raise ValueError("edge_val must match edge_dst in shape")
             object.__setattr__(self, "edge_val", ev)
@@ -191,20 +200,24 @@ class CSRGraph:
     @staticmethod
     def from_edges(
         num_vertices: int,
-        edges: Iterable[tuple[int, int]],
+        edges: np.ndarray | Iterable[tuple[int, int]],
         *,
         num_cols: int | None = None,
         add_self_loops: bool = False,
         dedupe: bool = True,
         name: str = "",
     ) -> "CSRGraph":
-        """Build a CSR graph from an edge list of ``(src, dst)`` pairs.
+        """Build a CSR graph from ``(src, dst)`` pairs.
 
-        Edges are sorted by (src, dst); duplicates are removed when
-        ``dedupe`` (the adjacency matrix is 0/1 structural).
+        ``edges`` is an ``(E, 2)`` integer ndarray, used as it is (never
+        written to), or any iterable of pairs.  Edges are sorted by
+        (src, dst); duplicates are removed when ``dedupe`` (the adjacency
+        matrix is 0/1 structural).
         """
         cols = num_vertices if num_cols is None else num_cols
-        pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if add_self_loops:
             loops = np.stack(
                 [np.arange(num_vertices, dtype=np.int64)] * 2, axis=1

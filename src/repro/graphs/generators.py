@@ -100,7 +100,7 @@ def molecular_graph(
         chunks.append(np.stack([perm[: 2 * take : 2], perm[1 : 2 * take : 2]], axis=1))
         remaining -= take
     pairs = _symmetrize(np.concatenate(chunks, axis=0))
-    return CSRGraph.from_edges(n, map(tuple, pairs), name=name)
+    return CSRGraph.from_edges(n, pairs, name=name)
 
 
 def clique_union_graph(
@@ -146,7 +146,7 @@ def clique_union_graph(
         sel = rng.choice(len(pairs), size=want_undirected, replace=False)
         pairs = pairs[np.sort(sel)]
     pairs = _symmetrize(pairs)
-    return CSRGraph.from_edges(n, map(tuple, pairs), name=name)
+    return CSRGraph.from_edges(n, pairs, name=name)
 
 
 def hub_thread_graph(
@@ -183,7 +183,7 @@ def hub_thread_graph(
         dst = leaves[rng.integers(0, leaves.size, size=extra)]
         pairs = np.concatenate([pairs, np.stack([src, dst], axis=1)], axis=0)
     pairs = _symmetrize(_dedupe_pairs(pairs))
-    return CSRGraph.from_edges(n, map(tuple, pairs), name=name)
+    return CSRGraph.from_edges(n, pairs, name=name)
 
 
 def preferential_attachment_graph(
@@ -237,7 +237,7 @@ def preferential_attachment_graph(
         else np.empty((0, 2), dtype=np.int64)
     )
     pairs = _symmetrize(_dedupe_pairs(pairs))
-    return CSRGraph.from_edges(n, map(tuple, pairs), name=name)
+    return CSRGraph.from_edges(n, pairs, name=name)
 
 
 def erdos_renyi_graph(
@@ -274,7 +274,7 @@ def erdos_renyi_graph(
         sel = rng.choice(len(got), size=want_undirected, replace=False)
         got = got[np.sort(sel)]
     pairs = _symmetrize(got)
-    return CSRGraph.from_edges(n, map(tuple, pairs), name=name)
+    return CSRGraph.from_edges(n, pairs, name=name)
 
 
 def web_scale(
@@ -298,10 +298,10 @@ def web_scale(
 
     Unlike the small-graph generators above, edges stay *directed* (web
     links are) and the CSR arrays are assembled directly from vectorized
-    sorts — the ``from_edges`` per-tuple path would dominate runtime at
-    tens of millions of edges.  ``target_edges`` counts directed nnz;
-    duplicates are dropped, so extreme density may come up slightly
-    short (a guard bounds resampling).
+    sorts — ``from_edges`` would re-sort and re-dedupe tens of millions
+    of edges that arrive sorted and unique.  ``target_edges`` counts
+    directed nnz; duplicates are dropped, so extreme density may come up
+    slightly short (a guard bounds resampling).
     """
     n = int(num_vertices)
     if n <= 0:

@@ -42,7 +42,12 @@ class GraphStats:
 
 
 def graph_stats(graph: CSRGraph) -> GraphStats:
-    """Compute :class:`GraphStats` for ``graph`` (vectorized)."""
+    """:class:`GraphStats` for ``graph``, computed once per graph (vectorized)
+    and cached on it like :attr:`~repro.graphs.csr.CSRGraph.pattern_digest`."""
+    return graph._cached("graph_stats", lambda: _compute_stats(graph))
+
+
+def _compute_stats(graph: CSRGraph) -> GraphStats:
     deg = graph.degrees.astype(np.float64)
     if deg.size == 0:
         return GraphStats(0, 0, 0.0, 0, 0.0, 0.0, 0.0)

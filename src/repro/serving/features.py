@@ -8,8 +8,10 @@ a campaign's winner for CiteSeer is a good answer for a CiteSeer-like
 request.  This module turns a :class:`~repro.graphs.csr.CSRGraph` (plus
 its layer's feature extents) into a small numeric vector the
 :class:`~repro.serving.index.ParetoIndex` can nearest-neighbor on —
-computed in O(V) from the degree arrays the graph already caches, i.e.
-*without* running the cost model.
+*without* running the cost model.  The degree statistics are computed
+once per graph, in O(V), and cached on it
+(:func:`~repro.graphs.stats.graph_stats`), so a repeat query on the same
+graph object costs a dictionary lookup.
 
 Identity is two-tier:
 
@@ -95,9 +97,10 @@ def graph_features(
 ) -> SparsityFeatures:
     """Extract :class:`SparsityFeatures` for one GNN-layer workload.
 
-    O(V) over the graph's cached degree arrays — cheap enough to run per
-    inference request, which is the whole point: feature extraction must
-    cost microseconds where a cost-model evaluation costs milliseconds.
+    O(V) on a graph's first query, then a read of the stats and digest
+    cached on the graph — cheap enough to run per inference request,
+    which is the whole point: feature extraction must cost microseconds
+    where a cost-model evaluation costs milliseconds.
     """
     s = graph_stats(graph)
     return SparsityFeatures(

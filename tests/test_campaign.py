@@ -599,10 +599,10 @@ class TestScheduler:
 
         real = scheduler.run_unit
 
-        def dying(session, spec_, ds_name, pt):
+        def dying(session, spec_, ds_name, pt, wl):
             if ds_name == "proteins":
                 raise RuntimeError("simulated mid-campaign kill")
-            return real(session, spec_, ds_name, pt)
+            return real(session, spec_, ds_name, pt, wl)
 
         monkeypatch.setattr(scheduler, "run_unit", dying)
         store = ResultStore(tmp_path / "run.jsonl")
@@ -637,6 +637,43 @@ class TestScheduler:
         total = 3 * len(PAPER_CONFIGS)
         assert resumed.stats["evaluated"] == total - persisted_before
         assert resumed.stats["warm_hits"] == persisted_before - len(PAPER_CONFIGS)
+
+    def test_each_dataset_is_synthesised_once_per_run(
+        self, tmp_path, monkeypatch
+    ):
+        """One synthesis per dataset that has a unit to run: none for a
+        fully checkpointed resume, only the subset's datasets under
+        ``only_units``, and no cache carried from one run to the next."""
+        import repro.campaign.scheduler as scheduler
+
+        loads = []
+        real = scheduler.load_dataset
+
+        def counting(name, **kwargs):
+            loads.append(name)
+            return real(name, **kwargs)
+
+        monkeypatch.setattr(scheduler, "load_dataset", counting)
+        spec = sched_spec(
+            datasets=["mutag", "proteins"],
+            hardware=[HardwarePoint(num_pes=256), HardwarePoint(num_pes=512)],
+        )
+        run_with_artifacts(tmp_path, "run", spec)
+        assert loads == ["mutag", "proteins"]
+
+        loads.clear()
+        resumed = run_with_artifacts(tmp_path, "run", spec)
+        assert all(u.resumed for u in resumed.units)
+        assert loads == []
+
+        loads.clear()
+        subset = [k for k in spec.unit_keys() if k.startswith("proteins@")]
+        run_campaign(spec, only_units=subset)
+        assert loads == ["proteins"]
+
+        loads.clear()
+        run_campaign(spec)
+        assert loads == ["mutag", "proteins"]
 
     def test_failing_unit_propagates(self, tmp_path):
         # 1 PE: the table5 units themselves raise LegalityError.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.csr import CSRGraph, batch_graphs
@@ -199,6 +199,45 @@ def test_from_edges_matches_scipy(n, edges):
         np.testing.assert_array_equal(g.edge_dst, ref.indices)
     else:
         assert g.num_edges == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    edges=st.lists(
+        st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=120
+    ),
+    add_self_loops=st.booleans(),
+    dedupe=st.booleans(),
+)
+@example(n=4, edges=[], add_self_loops=False, dedupe=True)
+@example(n=4, edges=[], add_self_loops=True, dedupe=False)
+def test_from_edges_ndarray_matches_tuples(n, edges, add_self_loops, dedupe):
+    """Property: an (E, 2) ndarray builds the same CSR as the same edges
+    given as a list of tuples, and the array itself is left untouched."""
+    edges = [(u % n, v % n) for u, v in edges]
+    array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    before = array.copy()
+    kwargs = dict(add_self_loops=add_self_loops, dedupe=dedupe)
+    want = CSRGraph.from_edges(n, edges, **kwargs)
+    got = CSRGraph.from_edges(n, array, **kwargs)
+    assert got.vertex_ptr.tobytes() == want.vertex_ptr.tobytes()
+    assert got.edge_dst.tobytes() == want.edge_dst.tobytes()
+    assert got.num_cols == want.num_cols
+    np.testing.assert_array_equal(array, before)
+
+
+def test_csr_arrays_are_read_only_views():
+    """Assigning into a graph's arrays raises; the caller's own arrays
+    are frozen only through the graph's views."""
+    vptr = np.array([0, 2, 3])
+    dst = np.array([0, 1, 1])
+    val = np.array([1.0, 2.0, 3.0])
+    g = CSRGraph(vptr, dst, 2, edge_val=val)
+    for array in (g.vertex_ptr, g.edge_dst, g.edge_val):
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert vptr.flags.writeable and dst.flags.writeable and val.flags.writeable
 
 
 @settings(max_examples=30, deadline=None)

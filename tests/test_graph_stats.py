@@ -31,6 +31,18 @@ class TestGraphStats:
         d = graph_stats(tiny_graph).as_dict()
         assert d["V"] == 5 and d["max_deg"] == 3
 
+    def test_cached_on_the_graph(self, skewed_graph):
+        """Computed once per graph; equal to a fresh computation on an
+        uncached copy of the same arrays."""
+        s = graph_stats(skewed_graph)
+        assert graph_stats(skewed_graph) is s
+        fresh = CSRGraph(
+            skewed_graph.vertex_ptr.copy(),
+            skewed_graph.edge_dst.copy(),
+            skewed_graph.num_cols,
+        )
+        assert graph_stats(fresh) == s
+
 
 class TestLockstepInflation:
     def test_tv1_no_inflation(self, skewed_graph):

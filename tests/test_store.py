@@ -391,6 +391,42 @@ class TestWarmStartViaIndex:
         store.close()
 
 
+class TestRecordsInOnePass:
+    def test_records_equal_the_per_record_path(self, tmp_path, monkeypatch):
+        """``records()`` loads every unparsed record through one open and
+        gives what one ``record_for`` per fingerprint gives: first
+        appearance order, later duplicate-fingerprint lines collapsed,
+        already parsed records reused."""
+        import pathlib
+
+        path = tmp_path / "r.jsonl"
+        lines = [
+            rec(1), rec(2), rec(1, cycles=999), {"cycles": 7, "config": "X"},
+            rec(3), rec(2, cycles=998), rec(4),
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+
+        reference = ResultStore(path)
+        want = [reference.record_for(fp) for fp in reference._order]
+        assert [r["cycles"] for r in want] == [101, 102, 7, 103, 104]
+
+        store = ResultStore(path)
+        early = store.record_for("fp3")
+        opens = []
+        real_open = pathlib.Path.open
+        monkeypatch.setattr(
+            pathlib.Path, "open",
+            lambda self, *a, **k: opens.append(self) or real_open(self, *a, **k),
+        )
+        got = store.records()
+        assert got == want
+        assert opens == [path]
+        assert store.io_stats["record_loads"] == len(want)
+        assert got[3] is early
+        assert store.records() == want
+        assert opens == [path]  # everything is cached now
+
+
 class TestCompaction:
     def _duplicate_archive(self, tmp_path):
         """A store whose file was doubled by an uncoordinated writer."""
