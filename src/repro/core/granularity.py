@@ -18,7 +18,12 @@ where the larger is a multiple of the smaller, and our construction chunks
 *per-unit* cost arrays so any pair of tile sizes composes consistently.
 
 This module turns the two phase engines' per-unit cost views into aligned
-producer/consumer granule-time series for :mod:`repro.core.pipeline`.
+producer/consumer granule-time series for :mod:`repro.core.pipeline`.  Row
+and column grains are dense arrays of chunk sums.  An element-grain series
+is a :class:`GridSeries`: the grid ``np.outer(r, c) / total`` of its row and
+column chunk sums, kept in that factored form, because the grid runs to
+millions of granules and the pipeline kernel composes it from the shares.
+A grid under ``_DENSE_GRID`` granules comes back dense.
 """
 
 from __future__ import annotations
@@ -30,18 +35,28 @@ import numpy as np
 
 from ..engine.gemm import GemmResult
 from ..engine.spmm import SpmmResult
+# Re-exported from the engine layer (the one shared implementation —
+# engine/stats.py — since engine cannot import core): summing per-unit
+# cost arrays into granule chunks is the series-building primitive both
+# layers use.
 from ..engine.stats import chunk_sums
 from .taxonomy import Dataflow, Granularity, PhaseOrder
 from .legality import _row_major  # shared definition of walk direction
 from .workload import GNNWorkload
 
-__all__ = ["GranuleSpec", "make_granule_spec", "granule_series", "chunk_sums"]
+__all__ = [
+    "GranuleSpec",
+    "GridSeries",
+    "make_granule_spec",
+    "granule_series",
+    "chunk_sums",
+]
 
-
-# Re-exported from the engine layer (the one shared implementation —
-# engine/stats.py — since engine cannot import core): summing per-unit
-# cost arrays into granule chunks is the series-building primitive both
-# layers use.
+# Element grids of fewer granules are returned dense.  On a small grid the
+# pipeline kernel's checks on the shares cost more than they save, and
+# building it here, as before, kept the peak RSS of campaigns full of small
+# grids where it was (EXPERIMENTS.md, "Structured element-grain lanes").
+_DENSE_GRID = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -104,25 +119,46 @@ def make_granule_spec(
     )
 
 
-def _grid_series(
-    row_units: np.ndarray,
-    col_units: np.ndarray,
-    spec: GranuleSpec,
-    total: float,
-) -> np.ndarray:
-    """Element-granularity grid: outer product of per-axis shares.
+@dataclass(frozen=True, eq=False)
+class GridSeries:
+    """An element-grain granule series, factored: granule ``(i, j)`` takes
+    ``r[i] * c[j] / total`` cycles (0 when ``total <= 0``).
 
-    ``row_units``/``col_units`` each sum to the phase's total cycles; the
-    grid redistributes that total across (row-chunk, col-chunk) cells.
+    ``r``/``c`` are the row-chunk and column-chunk sums of one phase's
+    per-unit cycles, each summing to that phase's ``total``; the grid
+    redistributes the total across (row-chunk, col-chunk) cells.  Granules
+    run row by row when ``row_major``, else column by column.  ``len`` is
+    the granule count and ``np.asarray`` expands the series to the dense
+    1-D array in walk order.
     """
-    r = chunk_sums(row_units, spec.rows_per_granule)
-    c = chunk_sums(col_units, spec.cols_per_granule)
-    if total <= 0:
-        return np.zeros(r.size * c.size)
-    grid = np.outer(r, c) / total
-    if not spec.row_major:
-        grid = grid.T
-    return grid.ravel()
+
+    r: np.ndarray
+    c: np.ndarray
+    total: float
+    row_major: bool
+
+    def __len__(self) -> int:
+        return self.r.size * self.c.size
+
+    def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Granule times for every (row share, column share) pair, with the
+        grid's own float operations; the shares may come in either order,
+        since ``a * b == b * a`` exactly."""
+        if self.total <= 0:
+            return np.zeros((rows.size, cols.size))
+        return np.outer(rows, cols) / self.total
+
+    def walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(outer, inner)`` shares: the walk runs the inner axis through
+        once per outer entry."""
+        return (self.r, self.c) if self.row_major else (self.c, self.r)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a GridSeries always expands into a new array")
+        # Built in walk order, so ravel copies nothing.
+        series = self.cells(*self.walk()).ravel()
+        return series if dtype is None else series.astype(dtype, copy=False)
 
 
 def granule_series(
@@ -135,7 +171,9 @@ def granule_series(
 
     Producer times say when each granule's data becomes available relative
     to work done; consumer times say how long each granule takes to digest.
-    Both arrays sum to ~their phase's total cycles.
+    Each series sums to ~its phase's total cycles.  Row and column grains
+    return dense arrays; element grain returns a :class:`GridSeries` per
+    side, never the grid itself, unless the grid is small.
     """
     ac = df.order is PhaseOrder.AC
     if ac:
@@ -164,6 +202,18 @@ def granule_series(
             chunk_sums(cons_cols, spec.cols_per_granule),
         )
     return (
-        _grid_series(prod_rows, prod_cols, spec, prod_total),
-        _grid_series(cons_rows, cons_cols, spec, cons_total),
+        _grid(prod_rows, prod_cols, spec, prod_total),
+        _grid(cons_rows, cons_cols, spec, cons_total),
     )
+
+
+def _grid(
+    row_units: np.ndarray, col_units: np.ndarray, spec: GranuleSpec, total: float
+) -> "GridSeries | np.ndarray":
+    series = GridSeries(
+        chunk_sums(row_units, spec.rows_per_granule),
+        chunk_sums(col_units, spec.cols_per_granule),
+        total,
+        spec.row_major,
+    )
+    return np.asarray(series) if len(series) < _DENSE_GRID else series

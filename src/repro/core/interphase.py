@@ -218,8 +218,9 @@ def _compose_batch(
     failed: set[int] = set()
     # PP granule specs, deduplicated: series_of maps item index -> slot.
     # Specs are cheap (tile-size arithmetic); the series themselves are
-    # built lazily below, one at a time, because an element-granularity
-    # series can run to millions of granules.
+    # built lazily below, one at a time, because a row or column series,
+    # or the grid a fractional element-grain lane expands to, can run to
+    # millions of granules.
     series_key: dict[tuple, int] = {}
     series_of: dict[int, int] = {}
     pp_specs: list[GranuleSpec] = []

@@ -13,7 +13,7 @@ fill, and the recurrence below models the transient stalls exactly:
 Load imbalance between partitions (Fig. 14) shows up as producer or
 consumer idle time, which :class:`PipelineReport` quantifies.
 
-:func:`bounded_pipeline_batch` runs each lane one of two ways.
+:func:`bounded_pipeline_batch` runs each lane one of three ways.
 
 *Loop.* Granule by granule over Python floats (the same IEEE doubles numpy
 would use, so every ``max``/``+`` is bit-identical to the direct array form
@@ -32,15 +32,34 @@ whole lane), then folds the blocks in order: O(sqrt(n)) numpy steps instead
 of ``n`` Python iterations.  It reports the stalls as
 ``prod_done[n-1] - sum(t_prod)`` and ``cons_done[n-1] - sum(t_cons)``.
 
+*Structured kernel.*  A large element-grain lane arrives as a pair of
+:class:`~repro.core.granularity.GridSeries`, never as its grid: granule
+``(a, b)`` of the walk costs ``outer[a] * inner[b] / total`` on each side.
+Outer entries with equal (producer, consumer) shares walk the same granules,
+so they share one *line* matrix.  Along the inner axis, a run of ``k`` equal
+granules is ``M^k``, by repeated squaring; each line's runs, and then the
+lane's runs of equal lines, fold in walk order by pairwise products.  All
+of it is batched numpy over at most ``_MATRIX_CHUNK`` matrices at a time.
+A lane whose runs compress the walk less than ``_MIN_COMPRESSION``-fold
+expands and takes the block kernel instead.  The busy sums are closed
+forms (each run pair's cell times its granule count), ``fill_cycles`` is
+the first cell, and the stalls are done minus busy, as above.
+
 *Guard.* Reassociating the recurrence changes no bit only when no ``+``
-rounds.  A lane takes the kernel when every granule time is an integer and
+rounds.  A lane takes a kernel when every granule time is an integer and
 ``sum(t_prod) + sum(t_cons) < 2**53``: every state value and every finite
-matrix entry is then an integer no larger than that sum, so every
-intermediate is exact, and so are the loop's stall sums it replaces.  (The float sums of
-non-negative terms reach ``2**53`` exactly when the true sums do, so the
-test itself cannot be fooled by rounding.)  Any other lane runs the loop.
-Both paths are fuzzed against the oracle in
-``tests/test_pipeline_batch.py``.
+matrix entry that reaches the result is then an integer no larger than
+that sum, so every such intermediate is exact, and so are the loop's stall
+sums it replaces.  (The float sums of non-negative terms reach ``2**53``
+exactly when the true sums do, so the test itself cannot be fooled by
+rounding.  Repeated squaring may also form a power beyond a run's length;
+such a power is discarded, so its rounding cannot matter.)  A structured
+lane is checked on the cells of its runs of equal row and column shares,
+which hold, bit for bit, every value the grid holds (a run pair's count
+weights its cell in the busy sums); this is also where its finiteness and
+sign are checked, before any lane runs.  Any other lane runs the loop; a structured one first expands once.
+All paths are fuzzed against the oracle in ``tests/test_pipeline_batch.py``
+and ``tests/test_pipeline_grid.py``.
 """
 
 from __future__ import annotations
@@ -49,9 +68,11 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+
+from .granularity import GridSeries
 
 __all__ = [
     "PipelineReport",
@@ -67,6 +88,12 @@ _STEP_CHUNK = 4096
 _ARRAY_CHUNK = 1 << 16
 # Below this every integer is a double, and so is every sum of them.
 _EXACT_LIMIT = 2.0**53
+# (max,+) matrices per array temporary of the structured kernel.
+_MATRIX_CHUNK = 1 << 12
+# A structured lane takes the structured kernel only when the walk has at
+# least this many granules per run matrix; below that, the block kernel on
+# the expanded grid does less work.
+_MIN_COMPRESSION = 32
 
 
 @dataclass(frozen=True)
@@ -177,6 +204,44 @@ def _maxplus_lane(p: np.ndarray, c: np.ndarray, depth: int) -> tuple[float, floa
     return state[0], state[1]
 
 
+def _maxplus_report(
+    n: int,
+    producer_busy: float,
+    consumer_busy: float,
+    done: tuple[float, float],
+    fill: float,
+) -> PipelineReport:
+    prod_done, cons_done = done
+    return PipelineReport(
+        total_cycles=int(np.ceil(cons_done)),
+        num_granules=n,
+        producer_busy=producer_busy,
+        consumer_busy=consumer_busy,
+        producer_stall=prod_done - producer_busy,
+        consumer_stall=cons_done - consumer_busy,
+        fill_cycles=fill,
+    )
+
+
+def _loop_report(
+    p: np.ndarray,
+    c: np.ndarray,
+    depth: int,
+    producer_busy: float,
+    consumer_busy: float,
+) -> PipelineReport:
+    _, window, prod_stall, cons_stall = _loop(p, c, depth)
+    return PipelineReport(
+        total_cycles=int(np.ceil(window[-1])),
+        num_granules=len(p),
+        producer_busy=producer_busy,
+        consumer_busy=consumer_busy,
+        producer_stall=prod_stall,
+        consumer_stall=cons_stall,
+        fill_cycles=float(p[0]),
+    )
+
+
 def _run_lane(p: np.ndarray, c: np.ndarray, depth: int) -> PipelineReport:
     n = len(p)
     if n == 0:
@@ -188,26 +253,196 @@ def _run_lane(p: np.ndarray, c: np.ndarray, depth: int) -> PipelineReport:
         and _is_integral(p)
         and _is_integral(c)
     ):
-        prod_done, cons_done = _maxplus_lane(p, c, depth)
-        prod_stall = prod_done - producer_busy
-        cons_stall = cons_done - consumer_busy
-    else:
-        _, window, prod_stall, cons_stall = _loop(p, c, depth)
-        cons_done = window[-1]
-    return PipelineReport(
-        total_cycles=int(np.ceil(cons_done)),
-        num_granules=n,
-        producer_busy=producer_busy,
-        consumer_busy=consumer_busy,
-        producer_stall=prod_stall,
-        consumer_stall=cons_stall,
-        fill_cycles=float(p[0]),
+        done = _maxplus_lane(p, c, depth)
+        return _maxplus_report(n, producer_busy, consumer_busy, done, float(p[0]))
+    return _loop_report(p, c, depth, producer_busy, consumer_busy)
+
+
+# --- structured (element-grain) lanes ---------------------------------------
+
+
+def _mp_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(max,+) product ``a ⊗ b`` over the last two axes, batched over the rest."""
+    return (a[..., :, :, None] + b[..., None, :, :]).max(axis=-2)
+
+
+def _transfer(p: np.ndarray, c: np.ndarray, depth: int) -> np.ndarray:
+    """Transfer matrices of granules with times ``p``/``c`` (any shape).
+
+    Entry ``(new, old)`` maps the state ``(prod_done, cons_done, cons_done
+    one granule back, ...)`` before a granule to the state after it.
+    """
+    m = np.full(p.shape + (depth + 1, depth + 1), -np.inf)
+    both = p + c
+    m[..., 0, 0] = m[..., 0, depth] = p  # producer waits for its bank
+    m[..., 1, 0] = m[..., 1, depth] = both  # consumer waits for the data
+    if depth > 1:
+        m[..., 1, 1] = c  # ... or for itself (at depth 1, ``both`` covers it)
+        for lag in range(2, depth + 1):
+            m[..., lag, lag - 1] = 0.0  # the window shifts
+    return m
+
+
+def _power(m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``m ** k`` in the (max,+) semiring for every leading index, by
+    repeated squaring (``k >= 1`` broadcasts against ``m.shape[:-2]``)."""
+    k = np.broadcast_to(k, m.shape[:-2])[..., None, None]
+    identity = np.where(np.eye(m.shape[-1], dtype=bool), 0.0, -np.inf)
+    out = np.where((k & 1) == 1, m, identity)
+    k = k >> 1
+    while k.any():
+        m = _mp_mul(m, m)
+        out = np.where((k & 1) == 1, _mp_mul(m, out), out)
+        k = k >> 1
+    return out
+
+
+def _fold(m: np.ndarray) -> np.ndarray:
+    """Walk-order product ``m[-1] ⊗ ... ⊗ m[0]`` along axis -3, pairwise."""
+    while m.shape[-3] > 1:
+        later = _mp_mul(m[..., 1::2, :, :], m[..., 0:-1:2, :, :])
+        if m.shape[-3] % 2:
+            later = np.concatenate([later, m[..., -1:, :, :]], axis=-3)
+        m = later
+    return m[..., 0, :, :]
+
+
+def _chain(
+    make: Callable[[slice], np.ndarray], lengths: np.ndarray, batch: int
+) -> np.ndarray:
+    """Walk-order product of ``make(s)[..., j] ** lengths[j]`` over every
+    run ``j``, ``make(s)`` giving the matrices of the runs in slice ``s``
+    (``batch`` of them per run); a bounded slab of runs at a time."""
+    step = max(1, _MATRIX_CHUNK // batch)
+    out = None
+    for first in range(0, len(lengths), step):
+        s = slice(first, first + step)
+        part = _fold(_power(make(s), lengths[s]))
+        out = part if out is None else _mp_mul(part, out)
+    return out
+
+
+def _runs(*keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and lengths of the runs of equal consecutive entries of
+    ``keys`` (equal-length 1-D arrays), taken together."""
+    n = len(keys[0])
+    change = np.zeros(n, dtype=bool)
+    change[:1] = True
+    for key in keys:
+        change[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(change)
+    return starts, np.diff(starts, append=n)
+
+
+@dataclass(frozen=True)
+class _GridLane:
+    """A checked structured lane: ``exact`` says it passed the guard, and
+    then ``producer_busy``/``consumer_busy`` are its exact sums."""
+
+    prod: GridSeries
+    cons: GridSeries
+    exact: bool
+    producer_busy: float
+    consumer_busy: float
+
+
+def _run_cells(series: GridSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Every value ``series`` holds, once per pair of runs of equal row and
+    column shares, and how many granules each pair covers."""
+    row_starts, row_counts = _runs(series.r)
+    col_starts, col_counts = _runs(series.c)
+    cells = series.cells(series.r[row_starts], series.c[col_starts])
+    return cells, np.outer(row_counts, col_counts)
+
+
+def _check_grid(prod: GridSeries, cons: GridSeries) -> _GridLane:
+    p, p_counts = _run_cells(prod)
+    c, c_counts = _run_cells(cons)
+    if not (np.isfinite(p).all() and np.isfinite(c).all()):
+        raise ValueError("granule times must be finite")
+    if np.any(p < 0) or np.any(c < 0):
+        raise ValueError("granule times must be non-negative")
+    producer_busy = float((p * p_counts).sum())
+    consumer_busy = float((c * c_counts).sum())
+    exact = (
+        producer_busy + consumer_busy < _EXACT_LIMIT
+        and (np.floor(p) == p).all()
+        and (np.floor(c) == c).all()
     )
+    return _GridLane(prod, cons, bool(exact), producer_busy, consumer_busy)
+
+
+def _grid_maxplus(
+    prod: GridSeries, cons: GridSeries, depth: int
+) -> tuple[float, float] | None:
+    """``(prod_done, cons_done)`` of the last granule of a structured lane,
+    or ``None`` when its runs do not compress the walk enough to pay.
+
+    Exact only under the guard (see the module docstring).
+    """
+    (p_outer, p_inner), (c_outer, c_inner) = prod.walk(), cons.walk()
+    lines, line_of = np.unique(
+        np.stack([p_outer, c_outer], axis=1), axis=0, return_inverse=True
+    )
+    line_of = line_of.reshape(-1)
+    starts, run_len = _runs(p_inner, c_inner)
+    p_runs, c_runs = p_inner[starts], c_inner[starts]
+    if len(lines) * len(run_len) * _MIN_COMPRESSION > len(prod):
+        return None
+    per_chunk = max(1, _MATRIX_CHUNK // len(run_len))
+    line_mats = []
+    for first in range(0, len(lines), per_chunk):
+        chunk = lines[first : first + per_chunk]
+        line_mats.append(
+            _chain(
+                lambda s: _transfer(
+                    prod.cells(chunk[:, 0], p_runs[s]),
+                    cons.cells(chunk[:, 1], c_runs[s]),
+                    depth,
+                ),
+                run_len,
+                len(chunk),
+            )
+        )
+    line_mat = np.concatenate(line_mats)
+    line_starts, line_reps = _runs(line_of)
+    walk = line_of[line_starts]
+    lane = _chain(lambda s: line_mat[walk[s]], line_reps, 1)
+    state = lane.max(axis=-1)  # applied to the zero start state
+    return float(state[0]), float(state[1])
+
+
+def _run_grid_lane(lane: _GridLane, depth: int) -> PipelineReport:
+    prod, cons = lane.prod, lane.cons
+    if lane.exact and len(prod):
+        done = _grid_maxplus(prod, cons, depth)
+        if done is not None:
+            outer, inner = prod.walk()
+            fill = float(prod.cells(outer[:1], inner[:1])[0, 0])
+            return _maxplus_report(
+                len(prod), lane.producer_busy, lane.consumer_busy, done, fill
+            )
+    p, c = np.asarray(prod), np.asarray(cons)
+    if lane.exact:  # it does not compress: the block kernel retakes the guard
+        return _run_lane(p, c, depth)
+    return _loop_report(p, c, depth, float(p.sum()), float(c.sum()))
+
+
+def _check_lane(prod, cons) -> "_GridLane | tuple[np.ndarray, np.ndarray]":
+    if (
+        isinstance(prod, GridSeries)
+        and isinstance(cons, GridSeries)
+        and prod.r.size == cons.r.size
+        and prod.c.size == cons.c.size
+        and prod.row_major == cons.row_major
+    ):
+        return _check_grid(prod, cons)
+    return _check_series(prod, cons)
 
 
 def bounded_pipeline_batch(
-    prod_series: Sequence[np.ndarray],
-    cons_series: Sequence[np.ndarray],
+    prod_series: Sequence["np.ndarray | GridSeries"],
+    cons_series: Sequence["np.ndarray | GridSeries"],
     *,
     depth: int = 2,
 ) -> list[PipelineReport]:
@@ -215,7 +450,8 @@ def bounded_pipeline_batch(
 
     ``prod_series[b]``/``cons_series[b]`` are candidate ``b``'s per-granule
     production/consumption times in cycles (1-D, finite, non-negative,
-    possibly different lengths across the batch, possibly empty).
+    possibly different lengths across the batch, possibly empty), as
+    arrays or, for element grain, as a :class:`GridSeries` pair.
     ``depth`` is the number of ping-pong banks (2 in the paper).  Every
     series is checked before any lane runs; the reports come back in
     batch order.
@@ -224,5 +460,10 @@ def bounded_pipeline_batch(
         raise ValueError("depth must be >= 1")
     if len(prod_series) != len(cons_series):
         raise ValueError("batch needs one consumer series per producer series")
-    pairs = [_check_series(p, c) for p, c in zip(prod_series, cons_series)]
-    return [_run_lane(p, c, depth) for p, c in pairs]
+    lanes = [_check_lane(p, c) for p, c in zip(prod_series, cons_series)]
+    return [
+        _run_grid_lane(lane, depth)
+        if isinstance(lane, _GridLane)
+        else _run_lane(*lane, depth)
+        for lane in lanes
+    ]

@@ -12,19 +12,22 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import repro.core.enumeration as enumeration
+import repro.core.granularity as granularity
 import repro.core.interphase as interphase
 from repro.arch.config import AcceleratorConfig
 from repro.analysis.export import run_result_to_record
 from repro.campaign.session import ExplorationSession
 from repro.core.enumeration import design_space_stream, enumerate_design_space
 from repro.core.evaluator import DataflowEvaluator, _group_key
+from repro.core.granularity import GridSeries
 from repro.core.interphase import compose, compose_batch
-from repro.core.legality import LegalityError
+from repro.core.legality import LegalityError, validate_dataflow
 from repro.core.omega import prepare_phases, run_gnn_dataflow
-from repro.core.taxonomy import InterPhase
+from repro.core.taxonomy import Granularity, InterPhase
 from repro.core.workload import workload_from_dataset
 from repro.engine.phasecache import PhaseEngineCache
 from repro.graphs.datasets import load_dataset
@@ -121,6 +124,37 @@ class TestComposeBatch:
             assert record_bytes(got) == record_bytes(expected)
             assert got.pipeline == expected.pipeline
             assert got.notes == expected.notes
+
+    def test_reference_swap_sees_dense_element_grain_values(
+        self, wl, hw, monkeypatch
+    ):
+        """Element-grain lanes reach the PP kernel as GridSeries pairs (all
+        of them here, however small); the array-form reference swapped in
+        for it expands them to the dense granule arrays and agrees byte for
+        byte."""
+        monkeypatch.setattr(granularity, "_DENSE_GRID", 0)
+        items = [
+            item
+            for item in self.sample_items(wl, hw, step=7)
+            if item[0].inter is InterPhase.PP
+            and validate_dataflow(item[0]) is Granularity.ELEMENT
+        ]
+        assert items
+        batch = compose_batch(items)
+        seen = []
+
+        def reference(prods, conses, *, depth=2):
+            for series in (*prods, *conses):
+                dense = np.asarray(series, dtype=np.float64)
+                seen.append(isinstance(series, GridSeries))
+                assert dense.shape == (len(series),)
+            return bounded_pipeline_batch_reference(prods, conses, depth=depth)
+
+        monkeypatch.setattr(interphase, "bounded_pipeline_batch", reference)
+        for got, want in zip(batch, compose_batch(items)):
+            assert record_bytes(got) == record_bytes(want)
+            assert got.pipeline == want.pipeline
+        assert seen and all(seen)
 
     def test_raises_first_item_error_in_order(self, wl, hw):
         items = self.sample_items(wl, hw)

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import repro.core.granularity as granularity
 from repro.arch.config import AcceleratorConfig
 from repro.core.granularity import chunk_sums, granule_series, make_granule_spec
-from repro.core.omega import phase_specs
+from repro.core.omega import phase_specs, prepare_phases
 from repro.core.taxonomy import Granularity, PhaseOrder, parse_dataflow
 from repro.core.workload import GNNWorkload
 from repro.engine.gemm import GemmTiling, simulate_gemm
@@ -142,3 +143,29 @@ class TestSeriesAlignment:
         prod, cons = granule_series(df, spec, agg, cmb)
         assert len(prod) == len(cons)
         assert prod.sum() == pytest.approx(agg.stats.cycles, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "notation",
+        [
+            "PP_AC(VsFsNs, VsFsGs)",  # row-major walk
+            "PP_AC(FsVsNs, FsVsGs)",  # column-major walk
+            "PP_CA(NsFsVs, VsGsFs)",
+            "PP_CA(FsNsVs, GsVsFs)",
+        ],
+    )
+    def test_element_grids_structured_when_large(self, setup, monkeypatch, notation):
+        """Large element grids come back as GridSeries, small ones dense;
+        both hold the same granule times in walk order, bit for bit."""
+        wl, hw = setup
+        df, agg, cmb = prepare_phases(wl, parse_dataflow(notation), hw)
+        spec = make_granule_spec(df, wl, Granularity.ELEMENT, agg, cmb)
+        assert 1 < spec.num_granules < granularity._DENSE_GRID
+        dense = granule_series(df, spec, agg, cmb)
+        monkeypatch.setattr(granularity, "_DENSE_GRID", spec.num_granules)
+        structured = granule_series(df, spec, agg, cmb)
+        for small, large in zip(dense, structured):
+            assert isinstance(small, np.ndarray)
+            assert isinstance(large, granularity.GridSeries)
+            assert large.row_major is spec.row_major
+            assert len(large) == spec.num_granules
+            assert np.asarray(large).tobytes() == small.tobytes()

@@ -73,7 +73,7 @@ class TestExhaustiveEquivalenceMutag:
 @pytest.mark.slow
 class TestExhaustiveEquivalenceTableIV:
     @pytest.mark.parametrize(
-        "dataset", ["citeseer", "proteins", "imdb-bin", "collab", "cora"]
+        "dataset", ["citeseer", "proteins", "imdb-bin", "collab", "cora", "reddit-bin"]
     )
     def test_matches_exhaustive_optimum(self, dataset):
         wl = _workload(dataset)
