@@ -17,7 +17,30 @@ consumer idle time, which :class:`PipelineReport` quantifies.
 
 *Loop.* Granule by granule over Python floats (the same IEEE doubles numpy
 would use, so every ``max``/``+`` is bit-identical to the direct array form
-kept as the oracle in ``tests/oracles/pipeline_sim.py``).
+kept as the oracle in ``tests/oracles/pipeline_sim.py``), except where a
+*regime* holds.  Producer-bound, the producer never waits for a bank and
+the consumer always waits for the data, so ``prod_done`` is a running sum
+of ``t_prod`` and ``cons_done[i] = prod_done[i] + t_cons[i]``;
+consumer-bound, the reverse: ``cons_done`` is a running sum of ``t_cons``
+and ``prod_done[i] = cons_done[i-depth] + t_prod[i]``.  Such a stretch runs
+as a *regime block*: ``np.add.accumulate`` for the running sum (seeded with
+the current state), elementwise adds for the other side, and another
+accumulate for the stall (seeded with the running stall).  Both branch
+conditions are then checked on the computed values, and the block keeps
+the steps before the first that fails; the loop steps the switching
+granule.  Blocks start at ``_PROBE`` granules and double while the regime
+holds, up to ``_SLAB``; lanes and tails shorter than ``_MIN_TAIL`` never
+leave the loop.  *No bit changes:* on the kept steps every ``+``, ``-``
+and comparison takes the loop's operands in the loop's order, and
+``ufunc.accumulate`` is a sequential left fold, one rounding per step
+(pinned by a test).  Ties are kept because they change nothing: where the
+loop's ``>`` fails on equal values, the block starts from the other done
+value, equal to the bit (no state or stall is ever ``-0.0``: each starts
+at ``+0.0``, and a sum is ``-0.0`` only when both terms are), and adds a
+stall of ``x - x``, which is ``+0.0``.  Every state value rises along
+the lane, so only an overflow makes one infinite; a block whose last state
+is infinite is left to the loop, as a tie of infinities would add a NaN
+stall.
 
 *(max,+) block kernel.*  The state ``x_i = (prod_done[i], cons_done[i], ...,
 cons_done[i-depth+1])`` advances by ``x_i = M_i ⊗ x_{i-1}``, a
@@ -57,9 +80,10 @@ such a power is discarded, so its rounding cannot matter.)  A structured
 lane is checked on the cells of its runs of equal row and column shares,
 which hold, bit for bit, every value the grid holds (a run pair's count
 weights its cell in the busy sums); this is also where its finiteness and
-sign are checked, before any lane runs.  Any other lane runs the loop; a structured one first expands once.
-All paths are fuzzed against the oracle in ``tests/test_pipeline_batch.py``
-and ``tests/test_pipeline_grid.py``.
+sign are checked, before any lane runs.  Any other lane runs the loop; a
+structured one first expands once.  The loop's regime blocks reassociate
+nothing, so they need no guard.  All paths are fuzzed against the oracle
+in ``tests/test_pipeline_batch.py`` and ``tests/test_pipeline_grid.py``.
 """
 
 from __future__ import annotations
@@ -82,6 +106,13 @@ __all__ = [
 # Granules per ``.tolist()`` segment: a multi-million-granule series never
 # exists as boxed Python floats all at once.
 _STEP_CHUNK = 4096
+# Regime blocks of the loop (see :func:`_loop`), in granules: the first
+# block after a switch, the largest block, the shortest tail that tries
+# one, and the most granules stepped between tries.
+_PROBE = 128
+_SLAB = 1 << 14
+_MIN_TAIL = 512
+_MAX_GAP = 1024
 # Granules per array temporary of the (max,+) path: the guard's
 # integrality test and the kernel's step-major column copies stay this
 # small however long the lane is.
@@ -129,19 +160,21 @@ def _check_series(prod, cons) -> tuple[np.ndarray, np.ndarray]:
     return p, c
 
 
-def _loop(
-    p: np.ndarray, c: np.ndarray, depth: int
-) -> tuple[float, list[float], float, float]:
-    """Run the recurrence granule by granule from the zero start state.
+def _steps(
+    p: np.ndarray,
+    c: np.ndarray,
+    window: deque,
+    prod_done: float,
+    prod_stall: float,
+    cons_stall: float,
+) -> tuple[float, float, float]:
+    """Advance the recurrence granule by granule over ``p``/``c``.
 
-    Returns ``(prod_done, window, prod_stall, cons_stall)``; ``window``
-    holds the last ``depth`` consumer finish times, oldest first.
+    ``window`` (updated in place) holds the last ``depth`` consumer finish
+    times, oldest first; ``window[-1]`` is the current ``cons_done``.
+    Returns the new ``(prod_done, prod_stall, cons_stall)``.
     """
-    prod_done = cons_done = prod_stall = cons_stall = 0.0
-    # cons_done of the last ``depth`` granules; window[0] is granule
-    # i - depth (0.0 before there is one, which never delays the producer
-    # because times are non-negative).
-    window = deque([0.0] * depth, maxlen=depth)
+    cons_done = window[-1]
     push = window.append
     for pos in range(0, len(p), _STEP_CHUNK):
         seg = slice(pos, pos + _STEP_CHUNK)
@@ -156,6 +189,109 @@ def _loop(
                 cons_done = prod_done
             cons_done += c_i
             push(cons_done)
+    return prod_done, prod_stall, cons_stall
+
+
+def _block(
+    p: np.ndarray,
+    c: np.ndarray,
+    window: deque,
+    prod_done: float,
+    prod_stall: float,
+    cons_stall: float,
+) -> tuple[int, float, float, float]:
+    """Advance the recurrence over ``p``/``c`` as one regime block.
+
+    The regime is the one the first granule is in: producer-bound (the
+    producer does not wait for a bank, the consumer waits for the data) or
+    consumer-bound (the reverse); ties fit either.  Every step is computed
+    as if the regime held, then checked, and the steps before the first
+    that fails a check are kept.  Returns how many were kept (0 when the
+    first granule is in neither regime) and the new ``(prod_done,
+    prod_stall, cons_stall)``; ``window`` is updated in place, as by
+    :func:`_steps`.
+    """
+    freed, cons_done, first = window[0], window[-1], float(p[0])
+    if freed <= prod_done and prod_done + first >= cons_done:
+        producer_bound = True
+    elif freed >= prod_done and freed + first <= cons_done:
+        producer_bound = False
+    else:
+        return 0, prod_done, prod_stall, cons_stall
+    k, depth = len(p), len(window)
+    # done[j + 1] is prod_done after granule j, done[0] the state before it.
+    done = np.empty(k + 1)
+    done[0] = prod_done
+    # hist[depth + j] is cons_done after granule j and hist[:depth] the
+    # window, so granule j waits for bank hist[j] and for the consumer at
+    # hist[depth - 1 + j].
+    hist = np.empty(depth + k)
+    hist[:depth] = window
+    freed, before = hist[:k], hist[depth - 1 : -1]
+    stall = np.empty(k + 1)
+    if producer_bound:
+        done[1:] = p
+        np.add.accumulate(done, out=done)
+        np.add(done[1:], c, out=hist[depth:])
+        ok = (freed <= done[:-1]) & (done[1:] >= before)
+        stall[0] = cons_stall
+        np.subtract(done[1:], before, out=stall[1:])
+    else:
+        hist[depth:] = c
+        np.add.accumulate(hist[depth - 1 :], out=hist[depth - 1 :])
+        np.add(freed, p, out=done[1:])
+        ok = (freed >= done[:-1]) & (done[1:] <= before)
+        stall[0] = prod_stall
+        np.subtract(freed, done[:-1], out=stall[1:])
+    kept = k if ok.all() else int(ok.argmin())
+    if not math.isfinite(hist[depth - 1 + kept]):
+        # The states rise along the lane, so only an overflow makes the
+        # last one infinite; a tie of infinities would add a NaN stall.
+        return 0, prod_done, prod_stall, cons_stall
+    stalled = float(np.add.accumulate(stall[: kept + 1])[-1])
+    if producer_bound:
+        cons_stall = stalled
+    else:
+        prod_stall = stalled
+    window.extend(hist[kept : kept + depth].tolist())
+    return kept, float(done[kept]), prod_stall, cons_stall
+
+
+def _loop(
+    p: np.ndarray, c: np.ndarray, depth: int
+) -> tuple[float, list[float], float, float]:
+    """Run the recurrence from the zero start state.
+
+    Stretches where one regime holds advance as :func:`_block` blocks of
+    ``_PROBE`` granules, doubling while the regime holds, up to ``_SLAB``;
+    the granule where it switches, and a tail shorter than ``_MIN_TAIL``,
+    step granule by granule.  After a regime that held for less than a
+    probe, or none, the granules stepped before the next block double, up
+    to ``_MAX_GAP``.  Returns ``(prod_done, window, prod_stall,
+    cons_stall)``; ``window`` holds the last ``depth`` consumer finish
+    times, oldest first.
+    """
+    # cons_done of the last ``depth`` granules; window[0] is granule
+    # i - depth (0.0 before there is one, which never delays the producer
+    # because times are non-negative).
+    window = deque([0.0] * depth, maxlen=depth)
+    state = (0.0, 0.0, 0.0)  # prod_done, prod_stall, cons_stall
+    n, pos = len(p), 0
+    size, gap = _PROBE, 0
+    while n - pos >= gap + _MIN_TAIL:
+        if gap:
+            state = _steps(p[pos : pos + gap], c[pos : pos + gap], window, *state)
+            pos += gap
+        stop = min(n, pos + size)
+        kept, *state = _block(p[pos:stop], c[pos:stop], window, *state)
+        pos += kept
+        if pos == stop:
+            size, gap = min(2 * size, _SLAB), 0
+        elif kept >= _PROBE:
+            size, gap = _PROBE, 1
+        else:
+            size, gap = _PROBE, min(2 * gap, _MAX_GAP) or 1
+    prod_done, prod_stall, cons_stall = _steps(p[pos:], c[pos:], window, *state)
     return prod_done, list(window), prod_stall, cons_stall
 
 

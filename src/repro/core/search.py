@@ -182,7 +182,10 @@ class ParetoReport:
     result: SearchResult | None
     candidates: list[Dataflow]
     probes: int  # per-phase probe runs performed (engine-level)
-    evaluated_delta: int  # fresh cost-model evaluations this search caused
+    # Candidates this search evaluated that its evaluator had not seen:
+    # cost-model runs, or answers from the store's warm cache, so a resumed
+    # campaign reports the same number as the run that filled the store.
+    evaluated_delta: int
     front_sizes: dict[str, int] = field(default_factory=dict)
     design_space: int = DESIGN_SPACE_SIZE
 
@@ -356,9 +359,10 @@ def pareto_search(
 
     ``max_evals`` bounds the number of composed candidates submitted for
     evaluation (default: 25% of the design space).  The report's
-    ``evaluated_delta`` counts fresh cost-model runs attributable to this
-    search via :class:`~repro.core.evaluator.EvalStats` — the number the
-    acceptance tests bound.
+    ``evaluated_delta`` counts the candidates this search evaluated, fresh
+    or from the store's warm cache, via
+    :class:`~repro.core.evaluator.EvalStats` — the number the acceptance
+    tests bound.
     """
     budget = DEFAULT_MAX_EVALS if max_evals is None else max_evals
     report = ParetoReport(
@@ -370,10 +374,11 @@ def pareto_search(
         pe_split=pe_split,
         report=report,
     )
-    before = ev.stats.evaluated
+    stats = ev.stats
+    before = stats.evaluated + stats.warm_hits
     outcomes = ev.evaluate(
         ((df, None) for df in candidates), budget=budget
     )
-    report.evaluated_delta = ev.stats.evaluated - before
+    report.evaluated_delta = stats.evaluated + stats.warm_hits - before
     report.result = _collect(outcomes, objective)
     return report
