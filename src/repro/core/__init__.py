@@ -41,7 +41,7 @@ from .legality import (
     sp_optimized_ok,
     validate_dataflow,
 )
-from .omega import phase_specs, prepare_phases, run_gnn_dataflow
+from .omega import phase_specs, prepare_block, prepare_phases, run_gnn_dataflow
 from .pipeline import PipelineReport, bounded_pipeline_batch
 from .taxonomy import (
     Annot,
@@ -95,6 +95,7 @@ __all__ = [
     "select_pareto_candidates",
     "phase_specs",
     "run_gnn_dataflow",
+    "prepare_block",
     "prepare_phases",
     "PipelineReport",
     "bounded_pipeline_batch",

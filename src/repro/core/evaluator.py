@@ -42,8 +42,8 @@ from ..engine.spmm import SpmmTiling
 from ..engine.tilestats import TileStats
 from .interphase import RunResult, _compose_batch
 from .legality import LegalityError
-from .omega import prepare_phases, run_gnn_dataflow
-from .taxonomy import Dataflow, InterPhase
+from .omega import prepare_block, run_gnn_dataflow
+from .taxonomy import Dataflow
 from .tiling import TileHint
 from .workload import GNNWorkload
 
@@ -286,8 +286,8 @@ def candidate_fingerprint(
 # ----------------------------------------------------------------------
 
 def _tiling_kwargs(spec: TileHint | ExplicitTiles | None) -> dict:
-    """Keywords of :func:`run_gnn_dataflow`/:func:`prepare_phases` that
-    apply ``spec``: pinned tilings for :class:`ExplicitTiles`, else a hint."""
+    """Keywords of :func:`run_gnn_dataflow` that apply ``spec``: pinned
+    tilings for :class:`ExplicitTiles`, else a hint."""
     if isinstance(spec, ExplicitTiles):
         return {"spmm_tiling": spec.spmm, "gemm_tiling": spec.gemm}
     return {"hint": spec}
@@ -314,19 +314,6 @@ def _evaluate_candidate(
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _group_key(df: Dataflow) -> tuple:
-    """Sortable dispatch key clustering candidates that share phase
-    mappings (and, for PP, the partition split): phase-cache hits land in
-    the same evaluation group, and a group's PP candidates batch into one
-    recurrence over shared granule series."""
-    return (
-        str(df.agg),
-        str(df.cmb),
-        df.order.value,
-        df.pe_split if df.inter is InterPhase.PP else -1.0,
-    )
-
-
 def _evaluate_group(
     wl: GNNWorkload,
     hw: AcceleratorConfig,
@@ -337,12 +324,15 @@ def _evaluate_group(
 ) -> list[tuple[int, RunResult | None, str | None]]:
     """Evaluate one group of candidates batch-wise.
 
-    Phase preparation (tiling + engine runs) happens per candidate
-    through the shared ``cache``; composition happens once for the whole
-    group via :func:`~repro.core.interphase._compose_batch`, so PP
-    candidates sharing granule series run the recurrence once.
-    Per-candidate results and error strings are identical to looping
-    :func:`_evaluate_candidate` (asserted in ``tests/test_batch_compose.py``).
+    Phase preparation is one :func:`~repro.core.omega.prepare_block` call
+    over the whole group: tiles, concretised intras and engine results are
+    computed once per distinct phase mapping, with engine runs shared
+    across groups through ``cache``.  Composition happens once for the
+    whole group via :func:`~repro.core.interphase._compose_batch`, so PP
+    candidates sharing granule series run the recurrence once, in any
+    candidate order.  Per-candidate results and error strings are
+    identical to looping :func:`_evaluate_candidate` (asserted in
+    ``tests/test_batch_compose.py`` and ``tests/test_prepare_block.py``).
 
     With a ``partition`` plan each candidate composes per graph block
     inside :func:`~repro.core.partitioned.run_partitioned`, so the group
@@ -354,16 +344,18 @@ def _evaluate_group(
             (idx, *_evaluate_candidate(wl, hw, df, spec, None, cache, partition))
             for idx, df, spec in group
         ]
-    prepared: list = []  # parallel to group: (cdf, agg, cmb) | error str
-    for _, df, spec in group:
-        try:
-            prepared.append(
-                prepare_phases(
-                    wl, df, hw, stats=stats, cache=cache, **_tiling_kwargs(spec)
-                )
-            )
-        except (LegalityError, ValueError) as exc:
-            prepared.append(f"{type(exc).__name__}: {exc}")
+    prepared = prepare_block(
+        wl,
+        hw,
+        [
+            (df, None, spec.spmm, spec.gemm)
+            if isinstance(spec, ExplicitTiles)
+            else (df, spec, None, None)
+            for _, df, spec in group
+        ],
+        stats=stats,
+        cache=cache,
+    )
     items = [
         (cdf, wl, hw, agg, cmb)
         for entry in prepared
@@ -581,10 +573,12 @@ class EvalStats:
 _MemoEntry = "tuple[RunResult | None, str | None, dict | None]"
 
 
-# Unbudgeted evaluation pulls candidates in batches this wide so batched
-# composition pays off (phase-result sharing and one PP recurrence per
-# shared granule series); memory stays bounded because batch engine
-# results are deduplicated by the context's phase cache.
+# Evaluation pulls candidates in batches up to this wide (a budgeted run:
+# no wider than the successes it still needs) so batched preparation and
+# composition pay off: tiles, concretisations and engine lookups once per
+# phase mapping per batch, one PP recurrence per shared granule series.
+# Memory stays bounded because batch engine results are deduplicated by
+# the context's phase cache.
 _BATCH_SIZE = 512
 
 
@@ -739,18 +733,20 @@ class DataflowEvaluator:
 
         Candidates are pulled lazily, batch by batch; memo, warm-cache,
         and warm-error hits are filtered during batch assembly, so only
-        uncached candidates reach the cost model.  An unbudgeted run pulls
-        :data:`_BATCH_SIZE` candidates at a time and composes each batch
-        as one group (shared engine runs, one PP recurrence per shared
-        series); a budgeted run pulls one candidate at a time, so it
-        evaluates *exactly* ``budget`` successes and no work past them.
+        uncached candidates reach the cost model.  Each batch is prepared
+        and composed as one group (tiles and engine lookups once per phase
+        mapping, one PP recurrence per shared series).  A run pulls
+        :data:`_BATCH_SIZE` candidates at a time; a budgeted run pulls no
+        more than the successes it still needs.  Each candidate adds at
+        most one success, so a budgeted run evaluates *exactly* ``budget``
+        successes and no work past them.
         """
         it = iter(candidates)
-        batch_size = 1 if budget is not None else _BATCH_SIZE
         outcomes: list[EvalOutcome] = []
         legal = 0
         while budget is None or legal < budget:
-            batch = self._assemble(it, batch_size)
+            room = _BATCH_SIZE if budget is None else min(_BATCH_SIZE, budget - legal)
+            batch = self._assemble(it, room)
             if not batch.prepared:
                 break
             for outcome in self._emit(batch, len(outcomes)):
@@ -870,14 +866,13 @@ class DataflowEvaluator:
     ) -> dict[int, tuple[RunResult | None, str | None]]:
         if not pending:
             return {}
-        # The whole pending batch is one group, sorted so mapping-mates
-        # sit together (series dedup + one PP recurrence).
-        group = sorted(pending, key=lambda cand: _group_key(cand[1]))
+        # The whole pending batch is one group: preparation shares phase
+        # mappings and composition dedups PP series in any order.
         before = self.phase_cache.counters() if self.phase_cache else (0, 0)
         results = _evaluate_group(
             self.wl,
             self.hw,
-            group,
+            pending,
             self.tilestats,
             self.phase_cache,
             self.partition_plan,

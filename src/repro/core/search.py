@@ -37,21 +37,22 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..engine.gemm import GemmTiling, simulate_gemm
-from ..engine.spmm import SpmmTiling, simulate_spmm
+# Not called here: perfbench/layers.py patches the engines at every module
+# that imported them by value.
+from ..engine.gemm import simulate_gemm  # noqa: F401
+from ..engine.spmm import simulate_spmm  # noqa: F401
 from .enumeration import _order_pair_granularity, all_concrete_intra, pair_mask
-from .omega import phase_specs
+from .omega import prepare_phase
 from .optimizer import SearchResult, _collect
 from .taxonomy import (
     Dataflow,
-    Dim,
     InterPhase,
     IntraDataflow,
     Phase,
     PhaseOrder,
     SPVariant,
 )
-from .tiling import TileHint, choose_phase_tiles, concretize_intra
+from .tiling import pp_budgets
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .evaluator import DataflowEvaluator
@@ -123,39 +124,18 @@ def _probe_phase(
 ) -> PhasePoint | None:
     """Cost one intra-phase mapping at one PE budget via the phase cache.
 
-    Replicates exactly what :func:`~repro.core.tiling.choose_tiles` +
-    :func:`~repro.core.omega.prepare_phases` would do for this phase of a
-    hint-less candidate, so the engine run lands in (or comes from) the
-    same cache entry the composed candidates use.  Returns ``None`` when
-    the budget cannot realize the mapping's annotations (those candidates
-    fail evaluation too).
+    :func:`~repro.core.omega.prepare_phase` is the per-phase step of
+    :func:`~repro.core.omega.prepare_block`, so the engine run lands in (or
+    comes from) the same cache entry the composed candidates use.  Returns
+    ``None`` when the budget cannot realize the mapping's annotations
+    (those candidates fail evaluation too).
     """
-    wl, hw = ev.wl, ev.hw
-    hint = TileHint()
-    agg = intra.phase is Phase.AGGREGATION
-    try:
-        tiles = choose_phase_tiles(
-            intra, wl, num_pes, hint,
-            ca_order=agg and order is PhaseOrder.CA,
-        )
-        concrete = concretize_intra(intra, tiles)
-    except ValueError:
+    res = prepare_phase(
+        ev.wl, ev.hw, order, intra, num_pes,
+        stats=ev.tilestats, cache=ev.phase_cache,
+    )
+    if res is None:
         return None
-    sub = hw if num_pes == hw.num_pes else hw.partition(num_pes)
-    spmm_spec, gemm_spec = phase_specs(wl, order)
-    cache = ev.phase_cache
-    if agg:
-        tiling = SpmmTiling(tiles[Dim.V], tiles[Dim.F], tiles[Dim.N])
-        if cache is not None:
-            res = cache.spmm(spmm_spec, concrete, tiling, sub, stats=ev.tilestats)
-        else:
-            res = simulate_spmm(spmm_spec, concrete, tiling, sub, stats=ev.tilestats)
-    else:
-        tiling = GemmTiling(tiles[Dim.V], tiles[Dim.F], tiles[Dim.G])
-        if cache is not None:
-            res = cache.gemm(gemm_spec, concrete, tiling, sub, stats=ev.tilestats)
-        else:
-            res = simulate_gemm(gemm_spec, concrete, tiling, sub, stats=ev.tilestats)
     s = res.stats
     return PhasePoint(
         idx=idx,
@@ -163,12 +143,6 @@ def _probe_phase(
         gb=sum(s.gb_reads.values()) + sum(s.gb_writes.values()),
         rf=float(s.rf_reads) + float(s.rf_writes),
     )
-
-
-def _pp_budgets(hw, pe_split: float) -> tuple[int, int]:
-    """(agg, cmb) PE budgets under PP, matching ``prepare_phases``."""
-    agg_pes = max(1, min(hw.num_pes - 1, round(hw.num_pes * pe_split)))
-    return agg_pes, hw.num_pes - agg_pes
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +205,7 @@ def select_pareto_candidates(
 
     # -- probe stage ---------------------------------------------------
     full = ev.hw.num_pes
-    agg_pes, cmb_pes = _pp_budgets(ev.hw, pe_split)
+    agg_pes, cmb_pes = pp_budgets(full, pe_split)
     full_points: dict[tuple[PhaseOrder, Phase], list[PhasePoint]] = {}
     pp_points: dict[tuple[PhaseOrder, Phase], list[PhasePoint]] = {}
     for order in PhaseOrder:

@@ -31,6 +31,8 @@ __all__ = [
     "choose_phase_tiles",
     "choose_tiles",
     "concretize_intra",
+    "couple_sp_tiles",
+    "pp_budgets",
 ]
 
 
@@ -144,18 +146,6 @@ def phase_geometry(wl: GNNWorkload) -> PhaseGeometry:
     )
 
 
-def _extent(wl: GNNWorkload, phase: Phase, dim: Dim) -> int:
-    if dim is Dim.V:
-        return wl.num_vertices
-    if dim is Dim.F:
-        return wl.in_features
-    if dim is Dim.G:
-        return wl.out_features
-    # N: the useful spatial neighbor parallelism is bounded by the largest
-    # row; typical rows set the cap below.
-    return max(1, wl.graph.max_degree)
-
-
 def _greedy_split(
     budget: int,
     dims: list[tuple[Dim, int, int | None, Annot]],
@@ -204,17 +194,24 @@ def _greedy_split(
 
 
 def concretize_intra(intra: IntraDataflow, tiles: dict[Dim, int]) -> IntraDataflow:
-    """Resolve ``x`` wildcards from realized tile sizes (T>1 => spatial)."""
+    """Resolve ``x`` wildcards from realized tile sizes (T>1 => spatial).
+
+    An intra with no wildcard comes back as the same object, so callers
+    can tell by identity that nothing changed.
+    """
     new = []
+    wild = False
     for dim, annot in zip(intra.order, intra.annot):
         t = tiles[dim]
         resolved = Annot.SPATIAL if t > 1 else Annot.TEMPORAL
-        if annot is not Annot.EITHER and annot is not resolved:
+        if annot is Annot.EITHER:
+            wild = True
+        elif annot is not resolved:
             raise ValueError(
                 f"tile T_{dim.value}={t} contradicts annotation {annot.value}"
             )
         new.append(resolved)
-    return replace(intra, annot=tuple(new))
+    return replace(intra, annot=tuple(new)) if wild else intra
 
 
 # Memo over (geometry, intra, budget, hint content, ca_order).  Bounded so
@@ -274,6 +271,48 @@ def choose_phase_tiles(
     return dict(cached)
 
 
+def pp_budgets(num_pes: int, pe_split: float) -> tuple[int, int]:
+    """PP's (Aggregation, Combination) PE partition sizes for ``pe_split``.
+
+    The Combination share is ``num_pes`` minus the Aggregation share, so
+    it is 0 on a 1-PE array (which then cannot be partitioned); its tile
+    budget is ``max(1, share)``.
+    """
+    agg_pes = max(1, min(num_pes - 1, round(num_pes * pe_split)))
+    return agg_pes, num_pes - agg_pes
+
+
+def couple_sp_tiles(
+    agg_tiles: dict[Dim, int],
+    cmb_tiles: dict[Dim, int],
+    cmb: IntraDataflow,
+    out_features: int,
+    cmb_pes: int,
+    *,
+    ca_order: bool,
+    optimized: bool,
+) -> None:
+    """Apply SP's shared-axis constraints to one pair's tiles, in place.
+
+    T_V and T_F (AC) / T_G (CA) must match so the same PE-resident tile
+    serves both phases (paper §IV-B).  SP-Optimized also sets ``T_N = 1``
+    on the Aggregation side, which changes that side's tiling.
+    """
+    cmb_tiles[Dim.V] = agg_tiles[Dim.V]
+    if not ca_order:
+        cmb_tiles[Dim.F] = agg_tiles[Dim.F]
+        budget = max(1, cmb_pes // max(1, cmb_tiles[Dim.V] * cmb_tiles[Dim.F]))
+        cmb_tiles[Dim.G] = min(
+            out_features if cmb.annotation_of(Dim.G) is not Annot.TEMPORAL else 1,
+            budget,
+        )
+        if optimized:
+            cmb_tiles[Dim.G] = 1
+            agg_tiles[Dim.N] = 1
+    else:
+        cmb_tiles[Dim.G] = agg_tiles[Dim.F]
+
+
 def choose_tiles(
     df: Dataflow,
     wl: GNNWorkload,
@@ -285,40 +324,30 @@ def choose_tiles(
     - Seq and SP run each phase on the full array (SP additionally shares
       the intermediate axes' tile sizes between phases, paper §IV-B).
     - PP partitions the array by ``df.pe_split`` (Fig. 14's knob).
+
+    The one-candidate form of the steps
+    :func:`~repro.core.omega.prepare_block` runs once per phase mapping.
     """
     h = hint if hint is not None else TileHint()
     ca = df.order is PhaseOrder.CA
     if df.inter is InterPhase.PP:
-        agg_pes = max(1, min(hw.num_pes - 1, round(hw.num_pes * df.pe_split)))
-        cmb_pes = max(1, hw.num_pes - agg_pes)
+        agg_pes, cmb_pes = pp_budgets(hw.num_pes, df.pe_split)
+        cmb_pes = max(1, cmb_pes)
     else:
         agg_pes = cmb_pes = hw.num_pes
 
     agg_tiles = choose_phase_tiles(df.agg, wl, agg_pes, h, ca_order=ca)
     cmb_tiles = choose_phase_tiles(df.cmb, wl, cmb_pes, h)
-
     if df.inter is InterPhase.SP:
-        # Shared intermediate axes: T_V and T_F(AC)/T_G(CA) must match so
-        # the same PE-resident tile serves both phases (paper §IV-B).
-        cmb_tiles[Dim.V] = agg_tiles[Dim.V]
-        if not ca:
-            cmb_tiles[Dim.F] = agg_tiles[Dim.F]
-            budget = max(1, cmb_pes // max(1, cmb_tiles[Dim.V] * cmb_tiles[Dim.F]))
-            cmb_tiles[Dim.G] = min(
-                wl.out_features if df.cmb.annotation_of(Dim.G) is not Annot.TEMPORAL else 1,
-                budget,
-            )
-            if df.sp_variant is SPVariant.OPTIMIZED:
-                cmb_tiles[Dim.G] = 1
-                agg_tiles[Dim.N] = 1
-        else:
-            cmb_tiles[Dim.G] = agg_tiles[Dim.F]
+        couple_sp_tiles(
+            agg_tiles, cmb_tiles, df.cmb, wl.out_features, cmb_pes,
+            ca_order=ca, optimized=df.sp_variant is SPVariant.OPTIMIZED,
+        )
 
     spmm = SpmmTiling(agg_tiles[Dim.V], agg_tiles[Dim.F], agg_tiles[Dim.N])
     gemm = GemmTiling(cmb_tiles[Dim.V], cmb_tiles[Dim.F], cmb_tiles[Dim.G])
-    concrete = replace(
-        df,
-        agg=concretize_intra(df.agg, agg_tiles),
-        cmb=concretize_intra(df.cmb, cmb_tiles),
-    )
-    return spmm, gemm, concrete
+    agg = concretize_intra(df.agg, agg_tiles)
+    cmb = concretize_intra(df.cmb, cmb_tiles)
+    if agg is not df.agg or cmb is not df.cmb:
+        df = replace(df, agg=agg, cmb=cmb)
+    return spmm, gemm, df

@@ -1,7 +1,7 @@
 """Batched candidate evaluation: phase-engine cache + compose_batch.
 
 Proves end to end that the batch-aware evaluator — phase-engine result
-cache, mapping-grouped dispatch, and batched PP composition with shared
+cache, batch phase preparation, and batched PP composition with shared
 granule series — produces outcomes *byte-identical* to the reference
 path (the ``tests/oracles/`` enumeration, fingerprints and array-form PP
 recurrence, with the phase cache disabled), including over the paper's
@@ -22,11 +22,11 @@ from repro.arch.config import AcceleratorConfig
 from repro.analysis.export import run_result_to_record
 from repro.campaign.session import ExplorationSession
 from repro.core.enumeration import design_space_stream, enumerate_design_space
-from repro.core.evaluator import DataflowEvaluator, _group_key
+from repro.core.evaluator import DataflowEvaluator
 from repro.core.granularity import GridSeries
 from repro.core.interphase import compose, compose_batch
 from repro.core.legality import LegalityError, validate_dataflow
-from repro.core.omega import prepare_phases, run_gnn_dataflow
+from repro.core.omega import prepare_block, prepare_phases, run_gnn_dataflow
 from repro.core.taxonomy import Granularity, InterPhase
 from repro.core.workload import workload_from_dataset
 from repro.engine.phasecache import PhaseEngineCache
@@ -225,12 +225,20 @@ class TestBatchedEvaluatorEquality:
 
 
 class TestDispatchGrouping:
-    def test_group_key_separates_pe_splits(self, wl):
-        pps = [df for df in enumerate_design_space() if df.inter is InterPhase.PP]
-        df = pps[0]
+    def test_block_separates_pe_splits(self, wl, hw):
+        """Candidates differing only in pe_split share one batch yet each
+        runs its engines on its own PP partitions."""
         from dataclasses import replace
 
-        assert _group_key(df) != _group_key(replace(df, pe_split=0.25))
+        df = next(df for df in enumerate_design_space() if df.inter is InterPhase.PP)
+        cache = PhaseEngineCache()
+        half, quarter = prepare_block(
+            wl, hw,
+            [(df, None, None, None), (replace(df, pe_split=0.25), None, None, None)],
+            cache=cache,
+        )
+        assert half[1] is not quarter[1] and half[2] is not quarter[2]
+        assert cache.counters() == (0, 4)
 
 
 class TestRunGnnDataflowCache:
