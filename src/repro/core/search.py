@@ -215,6 +215,13 @@ def select_pareto_candidates(
         full_points[(order, Phase.COMBINATION)] = _phase_points(
             ev, order, Phase.COMBINATION, full, probes
         )
+        if cmb_pes == 0:
+            # A 1-PE array has no Combination share to partition off, so
+            # PP has no probe points and no candidates (every PP grid point
+            # fails evaluation there too).
+            pp_points[(order, Phase.AGGREGATION)] = []
+            pp_points[(order, Phase.COMBINATION)] = []
+            continue
         pp_points[(order, Phase.AGGREGATION)] = (
             full_points[(order, Phase.AGGREGATION)]
             if agg_pes == full

@@ -61,21 +61,30 @@ class SparsityFeatures:
     out_features: int
 
     def vector(self) -> np.ndarray:
-        """Log-scaled numeric embedding for nearest-neighbor lookup."""
-        return np.array(
-            [
-                np.log1p(self.num_vertices),
-                np.log1p(self.num_edges),
-                np.log1p(self.avg_degree),
-                np.log1p(self.max_degree),
-                np.log1p(self.p99_degree),
-                self.degree_cv,
-                np.log10(self.density + 1e-12),
-                np.log1p(self.in_features),
-                np.log1p(self.out_features),
-            ],
-            dtype=np.float64,
-        )
+        """Log-scaled numeric embedding for nearest-neighbor lookup.
+
+        Built on first use and kept: the returned array is shared and
+        read-only, so no caller can change a later distance through it.
+        """
+        vec = self.__dict__.get("_vector")
+        if vec is None:
+            vec = np.array(
+                [
+                    np.log1p(self.num_vertices),
+                    np.log1p(self.num_edges),
+                    np.log1p(self.avg_degree),
+                    np.log1p(self.max_degree),
+                    np.log1p(self.p99_degree),
+                    self.degree_cv,
+                    np.log10(self.density + 1e-12),
+                    np.log1p(self.in_features),
+                    np.log1p(self.out_features),
+                ],
+                dtype=np.float64,
+            )
+            vec.setflags(write=False)
+            object.__setattr__(self, "_vector", vec)
+        return vec
 
     def to_dict(self) -> dict:
         return {
@@ -97,24 +106,29 @@ def graph_features(
 ) -> SparsityFeatures:
     """Extract :class:`SparsityFeatures` for one GNN-layer workload.
 
-    O(V) on a graph's first query, then a read of the stats and digest
-    cached on the graph — cheap enough to run per inference request,
-    which is the whole point: feature extraction must cost microseconds
-    where a cost-model evaluation costs milliseconds.
+    O(V) on a graph's first query; the result is cached on the graph per
+    ``(in_features, out_features)``, so a repeat query returns the same
+    object (and its already-built vector) for a dictionary lookup.
+    Feature extraction must cost microseconds where a cost-model
+    evaluation costs milliseconds.
     """
-    s = graph_stats(graph)
-    return SparsityFeatures(
-        digest=f"{graph.pattern_digest}:{in_features}x{out_features}",
-        num_vertices=s.num_vertices,
-        num_edges=s.num_edges,
-        avg_degree=s.avg_degree,
-        max_degree=s.max_degree,
-        p99_degree=s.p99_degree,
-        degree_cv=s.degree_cv,
-        density=s.density,
-        in_features=in_features,
-        out_features=out_features,
-    )
+
+    def compute() -> SparsityFeatures:
+        s = graph_stats(graph)
+        return SparsityFeatures(
+            digest=f"{graph.pattern_digest}:{in_features}x{out_features}",
+            num_vertices=s.num_vertices,
+            num_edges=s.num_edges,
+            avg_degree=s.avg_degree,
+            max_degree=s.max_degree,
+            p99_degree=s.p99_degree,
+            degree_cv=s.degree_cv,
+            density=s.density,
+            in_features=in_features,
+            out_features=out_features,
+        )
+
+    return graph._cached(f"features:{in_features}x{out_features}", compute)
 
 
 def feature_distance(a: SparsityFeatures, b: SparsityFeatures) -> float:
@@ -124,6 +138,9 @@ def feature_distance(a: SparsityFeatures, b: SparsityFeatures) -> float:
     extents); otherwise the Euclidean distance between the log-scaled
     vectors, normalized by the embedding dimension so thresholds like
     ``max_distance=0.5`` stay meaningful if features are added later.
+    :meth:`~repro.serving.index.ParetoIndex.lookup` computes the same
+    value for every entry on a hardware key in one pass over that key's
+    stacked vectors, with the same floats.
     """
     if a.digest == b.digest:
         return 0.0

@@ -1,13 +1,15 @@
 """In-memory Pareto-front index over campaign result stores.
 
 The serving path must answer "which dataflow for this graph on this
-hardware?" without touching the cost model.  This index makes that a
-dictionary walk: campaign records are grouped per *(workload, hardware)*
-entry, each entry keeps only the **Pareto front** over (cycles, energy)
-— the non-dominated mappings that can ever be the right answer under any
-of the registered objectives — and every entry carries the workload's
-:class:`~repro.serving.features.SparsityFeatures` so a query for a graph
-the campaign never saw can fall back to the nearest-feature entry.
+hardware?" without touching the cost model.  Campaign records are
+grouped per *(workload, hardware)* entry, each entry keeps only the
+**Pareto front** over (cycles, energy) — the non-dominated mappings that
+can ever be the right answer under any of the registered objectives —
+and every entry carries the workload's
+:class:`~repro.serving.features.SparsityFeatures`.  A query for a
+workload the campaign saw is one dictionary lookup; a query for a graph
+it never saw falls back to the nearest-feature entry, found in one
+vectorised distance pass over its hardware key's stacked feature matrix.
 
 Incremental updates are sound because Pareto filtering is idempotent
 over unions: ``front(A ∪ B) == front(front(A) ∪ B)``, so appending a
@@ -34,9 +36,11 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from ..analysis.pareto import ParetoPoint, pareto_frontier
 from ..core.optimizer import OBJECTIVES
-from .features import SparsityFeatures, feature_distance, graph_features
+from .features import SparsityFeatures, graph_features
 
 __all__ = [
     "IndexEntry",
@@ -130,15 +134,19 @@ class IndexEntry:
 
     ``front`` holds :class:`~repro.analysis.pareto.ParetoPoint` items
     sorted by cycles ascending (energy strictly descending), each
-    carrying its source record as ``payload`` — so the frontier's
-    structure gives the per-objective winners directly: ``front[0]`` is
-    best-cycles, ``front[-1]`` best-energy, best-EDP a linear scan.
+    carrying its source record as ``payload``.  :meth:`add` also settles
+    the per-objective winners, so :meth:`best` is a dictionary read:
+    ``front[0]`` is best-cycles, ``front[-1]`` best-energy, and best-EDP
+    the first minimum of a scan over the front.
     """
 
     features: SparsityFeatures
     hw_key: str
     dataset: str | None = None
     front: list[ParetoPoint] = field(default_factory=list)
+    winners: dict[str, ParetoPoint] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def key(self) -> tuple[str, str]:
@@ -155,20 +163,25 @@ class IndexEntry:
             )
             for rec in records
         ]
-        self.front = pareto_frontier([*self.front, *points])
-        return len(self.front)
+        front = self.front = pareto_frontier([*self.front, *points])
+        self.winners = {}
+        if front:
+            self.winners = {
+                "cycles": front[0],
+                "energy": front[-1],
+                "edp": min(front, key=lambda p: record_score(p.payload, "edp")),
+            }
+        return len(front)
 
     def best(self, objective: str) -> ParetoPoint:
         if not self.front:
             raise ValueError(f"entry {self.key} has an empty front")
-        if objective == "cycles":
-            return self.front[0]
-        if objective == "energy":
-            return self.front[-1]
-        return min(
-            self.front,
-            key=lambda p: record_score(p.payload, objective),
-        )
+        point = self.winners.get(objective)
+        if point is None:
+            raise ValueError(
+                f"unknown objective {objective!r}; pick from {sorted(OBJECTIVES)}"
+            )
+        return point
 
 
 @dataclass(frozen=True)
@@ -189,13 +202,19 @@ class ParetoIndex:
     """Feature-addressed Pareto fronts over any number of result stores.
 
     Thread-safe: the serving layer mutates it (live-search records) while
-    concurrent queries read it.  All operations are O(entries) or better
-    — the store's dominated bulk never gets past :meth:`add_records`.
+    concurrent queries read it.  Per hardware key it keeps the entries
+    with a non-empty front, in insertion order, and their feature vectors
+    stacked into one ``(n, 9)`` matrix; :meth:`add_records` refreshes both
+    for every key it touches.  An exact lookup is one dictionary read and
+    a near lookup one array pass over its key's matrix — the store's
+    dominated bulk never gets past :meth:`add_records`.
     """
 
     def __init__(self, *, seed: int = 0) -> None:
         self.seed = seed
         self._entries: dict[tuple[str, str], IndexEntry] = {}
+        # hw key -> (entries with a front, their stacked feature vectors)
+        self._near: dict[str, tuple[list[IndexEntry], np.ndarray]] = {}
         self._graph_cache: dict = {}
         self._lock = threading.Lock()
         self.indexed = 0  # records folded into some entry's front
@@ -218,7 +237,9 @@ class ParetoIndex:
         """Fold records into their entries' fronts; returns # indexed.
 
         Grouping happens per (resolved feature digest, hardware key);
-        feature resolution failures bump :attr:`skipped`.
+        feature resolution failures bump :attr:`skipped`.  The near-lookup
+        matrix of every hardware key touched is rebuilt before the lock
+        is released, so the next lookup sees the new entries.
         """
         grouped: dict[tuple[str, str], list[Mapping]] = {}
         feats: dict[str, SparsityFeatures] = {}
@@ -248,6 +269,15 @@ class ParetoIndex:
                     self._entries[(digest, hw_key)] = entry
                 entry.add(recs)
                 indexed += len(recs)
+            for hw_key in {hw_key for _, hw_key in grouped}:
+                live = [
+                    e
+                    for e in self._entries.values()
+                    if e.hw_key == hw_key and e.front
+                ]
+                if live:  # a front, once non-empty, stays non-empty
+                    matrix = np.stack([e.features.vector() for e in live])
+                    self._near[hw_key] = (live, matrix)
             self.indexed += indexed
             self.skipped += skipped
             return indexed
@@ -267,7 +297,10 @@ class ParetoIndex:
         nearest-feature entry *on the same hardware key* answers, unless
         its distance exceeds ``max_distance`` (then: miss, return
         ``None``).  Hardware keys never cross-match — a 512-PE front
-        says nothing about a 64-PE chip.
+        says nothing about a 64-PE chip.  Distances are
+        :func:`~repro.serving.features.feature_distance`'s, bit for bit;
+        the first entry in insertion order at the minimum wins, and a
+        NaN distance never does.
         """
         with self._lock:
             exact = self._entries.get((features.digest, hw_key))
@@ -278,18 +311,25 @@ class ParetoIndex:
                     distance=0.0,
                     exact=True,
                 )
-            best: IndexEntry | None = None
-            best_d = float("inf")
-            for entry in self._entries.values():
-                if entry.hw_key != hw_key or not entry.front:
-                    continue
-                d = feature_distance(features, entry.features)
-                if d < best_d:
-                    best, best_d = entry, d
-            if best is None:
+            near = self._near.get(hw_key)
+            if near is None:
+                return None
+            # No entry here shares the query's digest (that one answered
+            # above), so every distance is the vector norm.
+            entries, matrix = near
+            diff = features.vector() - matrix
+            # Per-row diff @ diff as a stacked (1, 9) @ (9, 1) matmul: the
+            # same floats as the scalar form (einsum and sum(axis=1) are not).
+            sq = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+            dist = np.sqrt(sq / diff.shape[1])
+            dist[np.isnan(dist)] = np.inf
+            i = int(np.argmin(dist))
+            best_d = float(dist[i])
+            if best_d == np.inf:
                 return None
             if max_distance is not None and best_d > max_distance:
                 return None
+            best = entries[i]
             return Lookup(
                 entry=best,
                 point=best.best(objective),

@@ -25,6 +25,7 @@ from repro.core.search import (
     pareto_front,
     pareto_search,
 )
+from repro.core.taxonomy import InterPhase
 from repro.core.workload import workload_from_dataset
 from repro.graphs.datasets import load_dataset
 
@@ -137,6 +138,25 @@ class TestOptimizerIntegration:
         report = pareto_search(ev, max_evals=10)
         assert report.result is not None
         assert len(report.result.history) <= 10
+
+
+class TestOnePeArray:
+    def test_no_pp_partition_means_no_pp_candidates(self):
+        """``pp_budgets(1, 0.5)`` leaves the Combination phase 0 PEs, so the
+        search probes and proposes no PP point (the grid sweep reports
+        every PP point as an error there) instead of raising."""
+        wl = _workload("mutag")
+        hw = AcceleratorConfig(num_pes=1)
+        report = pareto_search(DataflowEvaluator(wl, hw), objective="cycles")
+        assert report.result is not None
+        assert report.candidates
+        assert not any(df.inter is InterPhase.PP for df in report.candidates)
+        assert report.probes == 2 * 2 * 48
+        ev = DataflowEvaluator(wl, hw)
+        ok = [o for o in ev.evaluate(design_space_stream(ev)) if o.ok]
+        assert report.result.best_score == min(
+            float(o.result.total_cycles) for o in ok
+        )
 
 
 class TestFrontSemantics:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import threading
 
+import numpy as np
 import pytest
 
 from repro.analysis.pareto import pareto_frontier
@@ -21,7 +23,8 @@ from repro.analysis.store import ResultStore
 from repro.campaign.spec import HardwarePoint
 from repro.errors import BudgetExhausted, ReproError, ServiceError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.datasets import load_dataset
+from repro.graphs.datasets import dataset_names, load_dataset
+from repro.graphs.generators import erdos_renyi_graph
 from repro.serving import (
     DataflowServer,
     DataflowService,
@@ -32,6 +35,8 @@ from repro.serving import (
     graph_features,
 )
 from repro.serving.index import record_hw_key, record_score
+
+from oracles.serving import feature_vector_reference, lookup_reference
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +113,33 @@ class TestFeatures:
         d = f.to_dict()
         assert d["F"] == 8 and d["G"] == 16
         assert d["digest"] == f.digest
+
+    def test_repeat_extraction_returns_the_cached_object(self, mutag_graph):
+        a = graph_features(mutag_graph, in_features=8, out_features=16)
+        assert graph_features(mutag_graph, in_features=8, out_features=16) is a
+        b = graph_features(mutag_graph, in_features=16, out_features=8)
+        assert b is not a and b.digest != a.digest
+        assert a.vector() is a.vector()
+
+    def test_vector_is_the_nine_expressions_in_order(self, mutag_graph):
+        for g in (mutag_graph, ring_graph(24)):
+            f = graph_features(g, in_features=8, out_features=16)
+            assert f.vector().tobytes() == feature_vector_reference(f).tobytes()
+
+    def test_vector_is_read_only(self, mutag_graph):
+        f_known = graph_features(ring_graph(16), in_features=8, out_features=8)
+        f_query = graph_features(mutag_graph, in_features=8, out_features=8)
+        index = ParetoIndex()
+        index.add_records(
+            [make_record(1, cycles=1, energy=1, digest=f_known.digest,
+                         features=f_known.to_dict())]
+        )
+        before = index.nearest(f_query, "pes512", "cycles").distance
+        for f in (f_query, index.entries()[0].features):
+            with pytest.raises(ValueError):
+                f.vector()[0] = 0.0
+        after = index.nearest(f_query, "pes512", "cycles").distance
+        assert after.hex() == before.hex()
 
 
 class TestParetoIndex:
@@ -230,6 +262,194 @@ class TestParetoIndex:
                                     "energy": {"total_pj": 5}}])
         assert added == 0
         assert index.skipped == 1 and len(index) == 0
+
+
+def features_record(i, f, *, hw, cycles, energy) -> dict:
+    return make_record(
+        i, cycles=cycles, energy=energy, digest=f.digest, hw=hw,
+        features=f.to_dict(),
+    )
+
+
+def assert_same_lookup(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.entry is want.entry
+    assert got.point is want.point
+    assert got.distance.hex() == want.distance.hex()
+    assert got.exact == want.exact
+
+
+class TestLookupOracle:
+    """The per-hardware matrix lookup against the per-entry scan it
+    replaced (``tests/oracles/serving.py``): same entry, same point, same
+    distance bits."""
+
+    HW_KEYS = ("pes256", "pes512", "pes1024")
+    COLD_CELLS = tuple((f, g) for f in (8, 56, 392, 2744) for g in (2, 20, 200))
+
+    def test_serve_mixed_shaped_schedule(self):
+        rng = np.random.default_rng(3)
+        index = ParetoIndex()
+        layers = {}  # (kind, key) -> features
+        campaign = []
+        for name in dataset_names():
+            exact = load_dataset(name)
+            layers["exact", name] = graph_features(
+                exact.graph, in_features=exact.num_features,
+                out_features=exact.hidden,
+            )
+            for seed in (5, 23):
+                near = load_dataset(name, seed=seed)
+                layers["near", f"{name}@{seed}"] = graph_features(
+                    near.graph, in_features=exact.num_features,
+                    out_features=exact.hidden,
+                )
+            for pes in (256, 512, 1024):
+                # Campaign records carry only the dataset name: the index
+                # rebuilds the graph to resolve their features.
+                for _ in range(4):
+                    campaign.append({
+                        "fingerprint": f"fp{len(campaign)}",
+                        "dataflow": f"DF{len(campaign)}",
+                        "dataset": name,
+                        "F": exact.num_features,
+                        "G": exact.hidden,
+                        "num_pes": pes,
+                        "cycles": float(rng.integers(100, 1000)),
+                        "energy": {"total_pj": float(rng.integers(100, 1000))},
+                    })
+        index.add_records(campaign)
+        assert len(index) == 21
+        for hw in self.HW_KEYS:
+            for f, g in self.COLD_CELLS:
+                vertices = int(rng.integers(48, 129))
+                graph = erdos_renyi_graph(
+                    rng, vertices, int(vertices * rng.uniform(2.0, 8.0))
+                )
+                layers["cold", f"{hw}-{f}x{g}"] = graph_features(
+                    graph, in_features=f, out_features=g
+                )
+        schedule = [
+            (kind, key, hw, objective)
+            for (kind, key) in layers
+            for hw in (
+                [key.split("-")[0]] if kind == "cold" else self.HW_KEYS
+            )
+            for objective in ("cycles", "energy", "edp")
+        ]
+        schedule = [schedule[i] for i in rng.permutation(len(schedule))]
+
+        non_exact = live = 0
+        for kind, key, hw, objective in schedule:
+            f = layers[kind, key]
+            answers = []
+            for max_distance in (0.5, None):
+                got = index.lookup(f, hw, objective, max_distance=max_distance)
+                want = lookup_reference(
+                    index, f, hw, objective, max_distance=max_distance
+                )
+                assert_same_lookup(got, want)
+                non_exact += got is not None and not got.exact
+                answers.append(got)
+            if answers[0] is None:
+                # A cold miss runs a live search, whose records the index
+                # must serve on the very next lookup.
+                live += 1
+                index.add_records([
+                    features_record(
+                        1000 + 10 * live + k, f, hw=hw,
+                        cycles=float(rng.integers(100, 1000)),
+                        energy=float(rng.integers(100, 1000)),
+                    )
+                    for k in range(3)
+                ])
+                hit = index.lookup(f, hw, objective, max_distance=0.0)
+                assert hit is not None and hit.exact
+        # Every cold graph misses once; every near graph is a near hit
+        # (2 per dataset x 3 hw keys x 3 objectives x 2 cuts), and so is
+        # each cold graph's unbounded lookup before its live search.
+        assert live == 36
+        assert non_exact == 14 * 3 * 3 * 2 + 36
+
+    def test_nan_feature_never_wins(self):
+        nan = dict(make_record(0, cycles=1, energy=1)["features"])
+        nan.update(digest="nan", deg_cv=math.nan)
+        far = dict(nan, digest="far", deg_cv=5.0, V=1000)
+        index = ParetoIndex()
+        index.add_records([make_record(1, cycles=1, energy=1, digest="nan",
+                                       features=nan)])
+        query = graph_features(ring_graph(10), in_features=8, out_features=8)
+        assert index.nearest(query, "pes512", "cycles") is None
+        assert lookup_reference(index, query, "pes512") is None
+        index.add_records([make_record(2, cycles=1, energy=1, digest="far",
+                                       features=far)])
+        hit = index.nearest(query, "pes512", "cycles")
+        assert hit.entry.features.digest == "far"
+        assert_same_lookup(hit, lookup_reference(index, query, "pes512"))
+
+    def test_exact_tie_goes_to_first_inserted(self):
+        base = make_record(0, cycles=1, energy=1)["features"]
+        index = ParetoIndex()
+        for i, digest in enumerate(("first", "second", "third")):
+            index.add_records([make_record(
+                i, cycles=10 - i, energy=10 - i, digest=digest,
+                features=dict(base, digest=digest),
+            )])
+        query = graph_features(ring_graph(10), in_features=8, out_features=8)
+        hit = index.nearest(query, "pes512", "cycles")
+        assert hit.entry.features.digest == "first"
+        assert_same_lookup(hit, lookup_reference(index, query, "pes512"))
+
+    def test_distance_equal_to_max_distance_is_a_hit(self):
+        f_known = graph_features(ring_graph(16), in_features=8, out_features=8)
+        query = graph_features(ring_graph(40), in_features=8, out_features=8)
+        index = ParetoIndex()
+        index.add_records([features_record(1, f_known, hw="pes512",
+                                           cycles=1, energy=1)])
+        d = index.nearest(query, "pes512", "cycles").distance
+        assert d > 0.0
+        hit = index.lookup(query, "pes512", "cycles", max_distance=d)
+        assert hit is not None and hit.distance == d
+        below = float(np.nextafter(d, 0.0))
+        assert index.lookup(query, "pes512", "cycles", max_distance=below) is None
+
+    def test_hw_key_without_entries_misses(self):
+        index = ParetoIndex()
+        query = graph_features(ring_graph(10), in_features=8, out_features=8)
+        assert index.nearest(query, "pes512", "cycles") is None
+        index.add_records([make_record(1, cycles=1, energy=1, hw="pes1024")])
+        assert index.nearest(query, "pes512", "cycles") is None
+        # An entry whose front is empty (no finite energy) answers nothing.
+        index.add_records([make_record(2, cycles=1, energy=math.inf,
+                                       digest="empty", hw="pes256")])
+        assert index.nearest(query, "pes256", "cycles") is None
+        assert lookup_reference(index, query, "pes256") is None
+
+    def test_entry_added_after_a_lookup_is_seen(self):
+        f_far = graph_features(ring_graph(16), in_features=8, out_features=8)
+        f_near = graph_features(ring_graph(60), in_features=8, out_features=8)
+        query = graph_features(ring_graph(64), in_features=8, out_features=8)
+        index = ParetoIndex()
+        index.add_records([features_record(1, f_far, hw="pes512",
+                                           cycles=1, energy=1)])
+        first = index.nearest(query, "pes512", "cycles")
+        assert first.entry.features.digest == f_far.digest
+        index.add_records([features_record(2, f_near, hw="pes512",
+                                           cycles=5, energy=5)])
+        second = index.nearest(query, "pes512", "cycles")
+        assert second.entry.features.digest == f_near.digest
+        assert second.distance < first.distance
+        assert_same_lookup(second, lookup_reference(index, query, "pes512"))
+
+    def test_unknown_objective_is_rejected(self):
+        index = ParetoIndex()
+        index.add_records([make_record(1, cycles=1, energy=1)])
+        (entry,) = index.entries()
+        with pytest.raises(ValueError, match="unknown objective"):
+            entry.best("latency")
 
 
 class TestDataflowService:
